@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -31,6 +32,7 @@ from .core import (
     OptimalityReport,
     TransportInstance,
     TransportPlan,
+    _spanning_forest,
     compute_duals_from_plan,
     new_instance,
     plan_cost,
@@ -38,6 +40,7 @@ from .core import (
 )
 from .hungarian import SolveTrace, solve_weighted_hungarian
 from .nwcorner import (
+    _north_west_walk,
     check_monge,
     convex_diff_cost,
     factored_cost,
@@ -322,41 +325,20 @@ def _load_instance(path: str) -> TransportInstance:
         raise CommandError(EXIT_INPUT_ERROR, f"{path}: {exc}") from exc
 
 
-def _spanning_hints(
-    instance: TransportInstance, plan: TransportPlan
-) -> list[tuple[int, int]]:
-    """Lexicographically first cells that connect the support graph into a
-    spanning tree (zero-flow basic cells for a degenerate plan)."""
+def _certificate_for_plan(
+    instance: TransportInstance,
+    plan: TransportPlan,
+    basis: Iterable[tuple[int, int]] = (),
+):
+    """Best-effort certificate for a plan that came without one.
+
+    Degenerate plans get zero-flow hint cells that connect the support into a
+    spanning tree: the first connecting `basis` cells, then row-major cells.
+    """
     m, n = instance.m, instance.n
-    parent = list(range(m + n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
-    for i, j in plan.cells():
-        union(i, m + j)
-    hints = []
-    for i in range(m):
-        for j in range(n):
-            if union(i, m + j):
-                if (i, j) not in plan.entries:
-                    hints.append((i, j))
-    return hints
-
-
-def _certificate_for_plan(instance: TransportInstance, plan: TransportPlan):
-    """Best-effort certificate for a plan that came without one."""
-    hints = _spanning_hints(instance, plan)
+    row_major = ((i, j) for i in range(m) for j in range(n))
+    tree, _ = _spanning_forest(m, n, chain(plan.cells(), basis, row_major))
+    hints = [cell for cell in tree if cell not in plan.entries]
     try:
         cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
     except CyclicBasisError:
@@ -384,7 +366,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.method == "nw":
         plan = north_west_corner(instance)
         if args.certificate:
-            cert, report, hints, unavailable = _certificate_for_plan(instance, plan)
+            walk = [cell for cell, _ in _north_west_walk(instance)]
+            cert, report, hints, unavailable = _certificate_for_plan(instance, plan, walk)
     else:  # oracle
         try:
             plan = enumerate_optimum(instance).plan

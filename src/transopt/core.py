@@ -250,6 +250,43 @@ def _check_plan_indices(instance: TransportInstance, plan: TransportPlan) -> Non
             )
 
 
+def _integer_marginals(
+    supply: Sequence[Fraction], demand: Sequence[Fraction]
+) -> tuple[list[int], list[int]]:
+    """Supplies and demands as ints; the first non-integer raises ValueError."""
+    for label, values in (("supply", supply), ("demand", demand)):
+        for k, v in enumerate(values):
+            if v.denominator != 1:
+                raise ValueError(f"{label} {k} is not an integer: {v}")
+    return [v.numerator for v in supply], [v.numerator for v in demand]
+
+
+def _spanning_forest(
+    m: int, n: int, cells: Iterable[Cell]
+) -> tuple[list[Cell], list[Cell]]:
+    """Split cells, taken in order, into those that join two components of the
+    bipartite graph on m row and n column nodes (a spanning forest) and those
+    that close a cycle."""
+    parent = list(range(m + n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree: list[Cell] = []
+    closing: list[Cell] = []
+    for i, j in cells:
+        ri, cj = find(i), find(m + j)
+        if ri == cj:
+            closing.append((i, j))
+        else:
+            parent[ri] = cj
+            tree.append((i, j))
+    return tree, closing
+
+
 def plan_cost(instance: TransportInstance, plan: TransportPlan) -> Fraction:
     """Total shipping cost of a plan: sum of cost[i][j] * quantity over its support."""
     _check_plan_indices(instance, plan)
@@ -340,33 +377,22 @@ def compute_duals_from_plan(
             raise IndexError(f"hint cell ({i}, {j}) out of range")
         cells.add((int(i), int(j)))
 
-    # Union-find over the m row nodes and n column nodes; a cell is an edge.
-    parent = list(range(m + n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in sorted(cells):
-        ri, cj = find(i), find(m + j)
-        if ri == cj:
-            raise CyclicBasisError(
-                f"basis cells contain a cycle (closed at cell ({i}, {j})); "
-                "not a basic solution"
-            )
-        parent[ri] = cj
-
-    roots = {find(x) for x in range(m + n)}
-    if len(roots) > 1:
+    tree, closing = _spanning_forest(m, n, sorted(cells))
+    if closing:
+        i, j = closing[0]
+        raise CyclicBasisError(
+            f"basis cells contain a cycle (closed at cell ({i}, {j})); "
+            "not a basic solution"
+        )
+    components = m + n - len(tree)
+    if components > 1:
         raise DegenerateBasisError(
-            f"basis graph has {len(roots)} components; the plan is degenerate, "
+            f"basis graph has {components} components; the plan is degenerate, "
             "pass basis_hint cells to connect all rows and columns"
         )
 
     adjacency: dict[int, list[tuple[int, Cell]]] = {x: [] for x in range(m + n)}
-    for i, j in sorted(cells):
+    for i, j in tree:
         adjacency[i].append((m + j, (i, j)))
         adjacency[m + j].append((i, (i, j)))
 

@@ -32,6 +32,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _integer_marginals,
     as_matrix,
     as_vector,
     new_instance,
@@ -168,8 +169,11 @@ class ZeroFlowNetwork:
                     self.residual[1 + i][1 + self.m + j] = unbounded
                     self.zero_cells.append((i, j))
         self._flow_value: Fraction | None = None
+        self._reached: frozenset[int] = frozenset()
 
-    def _augmenting_path(self) -> list[int] | None:
+    def _search(self) -> list[int]:
+        """Breadth-first search of the residual graph from the source, stopping
+        at the sink; returns each node's BFS parent (-1 where unreached)."""
         parent = [-1] * len(self.residual)
         parent[self.source] = self.source
         queue = deque([self.source])
@@ -181,30 +185,32 @@ class ZeroFlowNetwork:
                 if cap > 0 and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
-        if parent[self.sink] < 0:
-            return None
-        path = [self.sink]
-        while path[-1] != self.source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        return parent
 
     def max_flow(self) -> Fraction:
-        """Run augmenting paths to completion; idempotent."""
+        """Run augmenting paths to completion; idempotent.
+
+        The last search finds no path, so it reaches everything the source
+        can; that set is kept as the source side of the canonical min cut.
+        """
         if self._flow_value is not None:
             return self._flow_value
         total = Fraction(0)
         while True:
-            path = self._augmenting_path()
-            if path is None:
+            parent = self._search()
+            if parent[self.sink] < 0:
                 break
-            bottleneck = min(
-                self.residual[u][v] for u, v in zip(path, path[1:])
-            )
-            for u, v in zip(path, path[1:]):
+            path = []
+            v = self.sink
+            while v != self.source:
+                path.append((parent[v], v))
+                v = parent[v]
+            bottleneck = min(self.residual[u][v] for u, v in path)
+            for u, v in path:
                 self.residual[u][v] -= bottleneck
                 self.residual[v][u] += bottleneck
             total += bottleneck
+        self._reached = frozenset(v for v, p in enumerate(parent) if p >= 0)
         self._flow_value = total
         return total
 
@@ -222,15 +228,7 @@ class ZeroFlowNetwork:
     def source_side(self) -> set[int]:
         """Nodes reachable from the source in the final residual graph."""
         self.max_flow()
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            for v, cap in enumerate(self.residual[u]):
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        return set(self._reached)
 
     def min_cut_cover(self) -> LineCover:
         """Canonical minimum cut read as covering lines: rows the source can
@@ -264,15 +262,6 @@ def reduce_matrix(
     return reduced, row_offsets, col_offsets
 
 
-def _require_integer_marginals(
-    supply: Sequence[Fraction], demand: Sequence[Fraction]
-) -> None:
-    for label, values in (("supply", supply), ("demand", demand)):
-        for k, v in enumerate(values):
-            if v.denominator != 1:
-                raise ValueError(f"{label} {k} is not an integer: {v}")
-
-
 def min_weight_zero_cover(
     reduced: Sequence[Sequence[Numberish]],
     supply: Iterable[Numberish],
@@ -286,7 +275,7 @@ def min_weight_zero_cover(
     matrix = as_matrix(reduced)
     supply_v = as_vector(supply)
     demand_v = as_vector(demand)
-    _require_integer_marginals(supply_v, demand_v)
+    _integer_marginals(supply_v, demand_v)
     if len(matrix) != len(supply_v) or len(matrix[0]) != len(demand_v):
         raise ValueError("matrix shape does not match supply/demand lengths")
     network = ZeroFlowNetwork(matrix, supply_v, demand_v)
@@ -382,7 +371,7 @@ def solve_weighted_hungarian(
     still cover every zero.
     """
     supply, demand = instance.supply, instance.demand
-    _require_integer_marginals(supply, demand)
+    _integer_marginals(supply, demand)
 
     scale = math.lcm(*(c.denominator for row in instance.cost for c in row))
     scaled_cost = tuple(tuple(c * scale for c in row) for row in instance.cost)
@@ -438,16 +427,12 @@ def expand_to_assignment(
     back to the original row/column.  This is a cross-validation device, so
     the order is capped (default 64) against accidental quadratic blowup.
     """
-    _require_integer_marginals(instance.supply, instance.demand)
+    supply, demand = _integer_marginals(instance.supply, instance.demand)
     order = int(instance.total)
     if order > max_total:
         raise ValueError(f"expansion cap exceeded: balanced total {order} > {max_total}")
-    row_map = tuple(
-        i for i in range(instance.m) for _ in range(int(instance.supply[i]))
-    )
-    col_map = tuple(
-        j for j in range(instance.n) for _ in range(int(instance.demand[j]))
-    )
+    row_map = tuple(i for i in range(instance.m) for _ in range(supply[i]))
+    col_map = tuple(j for j in range(instance.n) for _ in range(demand[j]))
     expanded = tuple(
         tuple(instance.cost[i][j] for j in col_map) for i in row_map
     )

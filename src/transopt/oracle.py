@@ -17,6 +17,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _integer_marginals,
     as_matrix,
 )
 
@@ -28,15 +29,6 @@ class OracleResult:
     optimum: Fraction
     plan: TransportPlan
     optimal_count: int  # how many enumerated integer plans achieve the optimum
-
-
-def _require_integers(values: Sequence[Fraction], label: str) -> list[int]:
-    out = []
-    for k, v in enumerate(values):
-        if v.denominator != 1:
-            raise ValueError(f"{label} {k} is not an integer: {v}")
-        out.append(v.numerator)
-    return out
 
 
 def enumerate_optimum(
@@ -52,8 +44,7 @@ def enumerate_optimum(
     instances whose balanced total exceeds max_total or with more than
     max_cells cells.
     """
-    supply = _require_integers(instance.supply, "supply")
-    demand = _require_integers(instance.demand, "demand")
+    supply, demand = _integer_marginals(instance.supply, instance.demand)
     m, n = instance.m, instance.n
     if instance.total > max_total:
         raise ValueError(

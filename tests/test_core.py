@@ -184,12 +184,12 @@ class TestComputeDuals:
     def test_cycle_rejected(self):
         inst = new_instance([[1, 2], [3, 4]], [2, 2], [2, 2])
         plan = TransportPlan({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-        with pytest.raises(CyclicBasisError):
+        with pytest.raises(CyclicBasisError, match=r"closed at cell \(1, 1\)"):
             compute_duals_from_plan(inst, plan)
 
     def test_degenerate_needs_hint(self, worked_instance):
         nw = north_west_corner(worked_instance)  # support splits into two components
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(DegenerateBasisError, match="2 components"):
             compute_duals_from_plan(worked_instance, nw)
         cert = compute_duals_from_plan(worked_instance, nw, basis_hint=[(0, 1)])
         assert cert.alpha[0] == 0
