@@ -40,7 +40,6 @@ from .core import (
 )
 from .hungarian import SolveTrace, solve_weighted_hungarian
 from .nwcorner import (
-    _north_west_walk,
     check_monge,
     convex_diff_cost,
     factored_cost,
@@ -325,19 +324,15 @@ def _load_instance(path: str) -> TransportInstance:
         raise CommandError(EXIT_INPUT_ERROR, f"{path}: {exc}") from exc
 
 
-def _certificate_for_plan(
-    instance: TransportInstance,
-    plan: TransportPlan,
-    basis: Iterable[tuple[int, int]] = (),
-):
+def _certificate_for_plan(instance: TransportInstance, plan: TransportPlan):
     """Best-effort certificate for a plan that came without one.
 
-    Degenerate plans get zero-flow hint cells that connect the support into a
-    spanning tree: the first connecting `basis` cells, then row-major cells.
+    Degenerate plans get the lexicographically first zero-flow cells that
+    connect the support graph into a spanning tree.
     """
     m, n = instance.m, instance.n
     row_major = ((i, j) for i in range(m) for j in range(n))
-    tree, _ = _spanning_forest(m, n, chain(plan.cells(), basis, row_major))
+    tree, _ = _spanning_forest(m, n, chain(plan.cells(), row_major))
     hints = [cell for cell in tree if cell not in plan.entries]
     try:
         cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
@@ -366,8 +361,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.method == "nw":
         plan = north_west_corner(instance)
         if args.certificate:
-            walk = [cell for cell, _ in _north_west_walk(instance)]
-            cert, report, hints, unavailable = _certificate_for_plan(instance, plan, walk)
+            cert, report, hints, unavailable = _certificate_for_plan(instance, plan)
     else:  # oracle
         try:
             plan = enumerate_optimum(instance).plan

@@ -14,10 +14,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
-    Cell,
     Numberish,
     TransportInstance,
     TransportPlan,
@@ -63,29 +62,29 @@ class MongeReport:
         return self.holds
 
 
-def _north_west_walk(instance: TransportInstance) -> Iterator[tuple[Cell, Fraction]]:
-    """Cells the NW corner rule visits, in order, each with the quantity
-    shipped there: min(remaining supply, remaining demand).  The pointer moves
-    right when the demand is exhausted, down when the supply is; when both run
-    out together it moves right and ships 0 at the next cell.  With positive
-    marginals the visited cells are a spanning-tree basis of the plan."""
+def north_west_corner(instance: TransportInstance) -> TransportPlan:
+    """Greedy staircase plan: ship min(remaining supply, remaining demand) at
+    the current cell, move right when the demand is exhausted, down when the
+    supply is.  When both run out together, the column is consumed first and
+    the pointer moves right (the plan stays degenerate rather than storing a
+    zero cell).
+    """
     rem_supply = list(instance.supply)
     rem_demand = list(instance.demand)
+    m, n = instance.m, instance.n
+    entries: dict[tuple[int, int], Fraction] = {}
     i = j = 0
-    while i < instance.m and j < instance.n:
+    while i < m and j < n:
         q = min(rem_supply[i], rem_demand[j])
-        yield (i, j), q
-        rem_supply[i] -= q
-        rem_demand[j] -= q
+        if q > 0:
+            entries[(i, j)] = q
+            rem_supply[i] -= q
+            rem_demand[j] -= q
         if rem_demand[j] == 0:
             j += 1
         else:
             i += 1
-
-
-def north_west_corner(instance: TransportInstance) -> TransportPlan:
-    """Greedy staircase plan: the NW corner walk without its zero cells."""
-    return TransportPlan(_north_west_walk(instance))
+    return TransportPlan(entries)
 
 
 def check_monge(

@@ -143,18 +143,6 @@ class TestSolveCommand:
         assert "first violation: dual at" in out
         assert "note: plan is not certified optimal" in out
 
-    def test_nw_certificate_on_degenerate_monge_plan_verifies(self, capsys, tmp_path):
-        # supply 2 and demand 1 run out together at (2, 1); the walk's zero
-        # cell (2, 2) completes the basis, a row-major hint would not certify
-        path = tmp_path / "monge.txt"
-        path.write_text("3 2\n0 1\n1 0\n1 0\n1 7 1\n8 1\n")
-        code, out, _ = run(capsys, "solve", str(path), "--method", "nw", "--certificate")
-        assert code == 0
-        assert "basis hints: (2, 2)" in out
-        assert "alpha: 0 1 1" in out
-        assert "beta: 0 -1" in out
-        assert "verified optimal: yes" in out
-
     def test_hungarian_certificate_verifies(self, capsys):
         code, out, _ = run(
             capsys, "solve", str(WORKED), "--method", "hungarian", "--certificate"
