@@ -63,6 +63,10 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
+# Largest cost matrix `generate survey` builds, checked before anything is
+# allocated: the matrix is dense, so m * n bounds its memory.
+MAX_SURVEY_CELLS = 1_000_000
+
 _TOKEN = re.compile(r"\S+")
 
 COST_SHAPES: dict[str, Callable[[Fraction], Fraction]] = {
@@ -441,6 +445,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             _require(len(args.params) == 2, "survey takes exactly two sizes: m n")
             m, n = (int(p) for p in args.params)
             _require(m >= 1 and n >= 1, "survey sizes must be positive")
+            _require(
+                m * n <= MAX_SURVEY_CELLS,
+                f"survey {m} x {n} has {m * n} cells, over the limit of "
+                f"{MAX_SURVEY_CELLS}",
+            )
             cost = [[abs(i - j) for j in range(n)] for i in range(m)]
             supply = supply or [Fraction(1)] * m
             demand = demand or [Fraction(1)] * n
@@ -501,7 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     monge = sub.add_parser("check-monge", help="test the Monge condition of a cost matrix")
     monge.add_argument("file", help="instance file path")
     monge.add_argument(
-        "--mode", choices=("adjacent", "exhaustive"), default="exhaustive"
+        "--mode",
+        choices=("adjacent", "exhaustive"),
+        default="exhaustive",
+        help="exhaustive (default): report the first violated quadruple "
+        "(i, j, r, s) in scan order, O(m^2 n); adjacent: test consecutive rows "
+        "and columns only, O(mn); both give the same verdict",
     )
     monge.set_defaults(handler=_cmd_check_monge)
 

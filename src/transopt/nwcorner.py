@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -93,36 +94,68 @@ def check_monge(
     """Test cost[i][j] + cost[r][s] <= cost[r][j] + cost[i][s] for i < r, j < s.
 
     "adjacent" tests only consecutive quadruples (r = i+1, s = j+1) in O(mn);
-    "exhaustive" tests every quadruple in O(m^2 n^2).  The verdicts always
-    agree because adjacent inequalities sum to arbitrary ones.
+    "exhaustive" finds the first violated quadruple in (i, j, r, s) scan
+    order in O(m^2 n).  The verdicts always agree because adjacent
+    inequalities sum to arbitrary ones.
+
+    Both modes compare integers: the matrix is scaled once by the least
+    common multiple of its denominators, which is exact and keeps every
+    inequality.  For the exhaustive scan, fix rows i < r and let
+    g = row_i - row_r; the quadruple's excess
+    cost[i][j] + cost[r][s] - cost[r][j] - cost[i][s] is g[j] - g[s].  So
+    (i, j, r, s) is violated for some s > j exactly when g[j] > min(g[j+1:]),
+    which one right-to-left pass with a running suffix minimum decides for
+    every j.  The first witness in scan order has, for the first row i that
+    has any, the smallest such j over all r, then the smallest r with that
+    j, then the first s > j with g[s] < g[j].  The reported sums come from
+    the unscaled matrix.
     """
     matrix = as_matrix(cost)
-    m, n = len(matrix), len(matrix[0])
     if mode not in ("adjacent", "exhaustive"):
         raise ValueError(f"mode must be 'adjacent' or 'exhaustive', got {mode!r}")
-
-    def report(i: int, j: int, r: int, s: int) -> MongeReport | None:
-        direct = matrix[i][j] + matrix[r][s]
-        cross = matrix[r][j] + matrix[i][s]
-        if direct > cross:
-            return MongeReport(False, (i, j, r, s), direct, cross)
-        return None
-
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     if mode == "adjacent":
-        for i in range(m - 1):
-            for j in range(n - 1):
-                failed = report(i, j, i + 1, j + 1)
-                if failed is not None:
-                    return failed
+        witness = _first_adjacent_violation(rows)
     else:
-        for i in range(m):
-            for j in range(n):
-                for r in range(i + 1, m):
-                    for s in range(j + 1, n):
-                        failed = report(i, j, r, s)
-                        if failed is not None:
-                            return failed
-    return MongeReport(True)
+        witness = _first_violation(rows)
+    if witness is None:
+        return MongeReport(True)
+    i, j, r, s = witness
+    return MongeReport(
+        False, witness, matrix[i][j] + matrix[r][s], matrix[r][j] + matrix[i][s]
+    )
+
+
+def _first_adjacent_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
+    """First violated (i, j, i + 1, j + 1) in row-major order."""
+    for i, (top, bottom) in enumerate(zip(rows, rows[1:])):
+        for j in range(len(top) - 1):
+            if top[j] + bottom[j + 1] > bottom[j] + top[j + 1]:
+                return i, j, i + 1, j + 1
+    return None
+
+
+def _first_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
+    """First violated (i, j, r, s) in (i, j, r, s) order; see check_monge."""
+    m, n = len(rows), len(rows[0])
+    for i in range(m - 1):
+        best: tuple[int, int, list[int]] | None = None  # (j, r, g)
+        for r in range(i + 1, m):
+            g = [a - b for a, b in zip(rows[i], rows[r])]
+            low, first = g[-1], None
+            for j in range(n - 2, -1, -1):
+                if g[j] > low:
+                    first = j
+                else:
+                    low = g[j]
+            if first is not None and (best is None or first < best[0]):
+                best = (first, r, g)
+        if best is not None:
+            j, r, g = best
+            s = next(s for s in range(j + 1, n) if g[s] < g[j])
+            return i, j, r, s
+    return None
 
 
 def _is_nonincreasing(v: Sequence[Fraction]) -> bool:

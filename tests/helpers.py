@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from transopt import TransportInstance, TransportPlan, new_instance
+from transopt import MongeReport, TransportInstance, TransportPlan, new_instance
+from transopt.core import as_matrix
 
 CONVEX_SHAPES = {
     "square": lambda t: t * t,
@@ -24,6 +25,22 @@ WORKED_DEMAND = [3, 2, 6, 4]
 def worked_example() -> TransportInstance:
     """The 3x4 instance whose solve is traced step by step in the docs."""
     return new_instance(WORKED_COST, WORKED_SUPPLY, WORKED_DEMAND)
+
+
+def brute_force_monge(cost) -> MongeReport:
+    """Reference for `check_monge(cost, "exhaustive")`: every quadruple
+    i < r, j < s in (i, j, r, s) order, in O(m^2 n^2) Fraction sums."""
+    c = as_matrix(cost)
+    m, n = len(c), len(c[0])
+    for i in range(m):
+        for j in range(n):
+            for r in range(i + 1, m):
+                for s in range(j + 1, n):
+                    direct = c[i][j] + c[r][s]
+                    cross = c[r][j] + c[i][s]
+                    if direct > cross:
+                        return MongeReport(False, (i, j, r, s), direct, cross)
+    return MongeReport(True)
 
 
 def composition(rng: random.Random, total: int, parts: int) -> list[int]:

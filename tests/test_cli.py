@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from transopt import BalanceError
+from transopt import BalanceError, cli
 from transopt.cli import (
     ParseError,
     format_rational,
@@ -273,6 +273,16 @@ class TestGenerateCommand:
         code, _, err = run(capsys, "generate", "survey", "2", "3")
         assert code == 2
         assert "unbalanced" in err
+
+    def test_survey_size_guard_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SURVEY_CELLS", 6)
+        code, out, err = run(capsys, "generate", "survey", "2", "4")
+        assert code == 2
+        assert out == ""
+        assert "8 cells" in err and "limit of 6" in err
+        code, out, _ = run(capsys, "generate", "survey", "2", "3", "--demand", "1", "1", "0")
+        assert code == 0
+        assert out.startswith("2 3\n")
 
     def test_sum_kind(self, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     CONVEX_SHAPES,
     balanced_instances,
+    brute_force_monge,
     composition,
     random_feasible_plan,
     small_matrices,
@@ -87,6 +88,73 @@ class TestCheckMonge:
     @settings(max_examples=150)
     def test_modes_agree(self, matrix):
         assert check_monge(matrix, "adjacent").holds == check_monge(matrix, "exhaustive").holds
+
+    @given(
+        st.one_of(
+            small_matrices(max_dim=5, low=-3, high=3),
+            st.integers(1, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(
+                        st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n
+                    ),
+                    min_size=1,
+                    max_size=5,
+                )
+            ),
+        )
+    )
+    @settings(max_examples=300)
+    def test_exhaustive_matches_brute_force(self, matrix):
+        assert check_monge(matrix, "exhaustive") == brute_force_monge(matrix)
+
+    def test_exhaustive_matches_brute_force_seeded(self):
+        rng = random.Random(3)
+        violated = 0
+        for k in range(600):
+            if k % 10 == 0:
+                m, n = rng.choice([(1, rng.randint(1, 7)), (rng.randint(1, 7), 1)])
+            else:
+                m, n = rng.randint(2, 7), rng.randint(2, 7)
+            if k % 3 == 0:
+                cost = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            elif k % 3 == 1:
+                cost = [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(m)
+                ]
+            else:
+                # convex-difference costs, mostly with one cell perturbed
+                f = CONVEX_SHAPES[rng.choice(sorted(CONVEX_SHAPES))]
+                x, y = sorted_rationals(rng, m), sorted_rationals(rng, n)
+                cost = [list(row) for row in convex_diff_cost(x, y, f)]
+                if rng.random() < 0.7:
+                    bump = Fraction(rng.randint(-3, 3), 2)
+                    cost[rng.randrange(m)][rng.randrange(n)] += bump
+            report = check_monge(cost, "exhaustive")
+            assert report == brute_force_monge(cost)
+            violated += not report.holds
+        assert 0 < violated < 600
+
+    @pytest.mark.parametrize(
+        "cost, witness",
+        [
+            # r = 1 and r = 2 share the smallest j; the smaller r wins, and
+            # of the violated s = 1, 2, 3 the first is reported.
+            ([[5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], (0, 0, 1, 1)),
+            # a later r with a smaller j comes first in scan order
+            ([[5, 5, 0, 0], [5, 0, 0, 0], [0, 0, 0, 0]], (0, 0, 2, 2)),
+            # s is the first column below g[j], not j + 1
+            ([[3, 4, 5, 1], [0, 0, 0, 0]], (0, 0, 1, 3)),
+            # no violation at i = 0, several at i = 1
+            ([[0, 0, 0], [2, 1, 0], [0, 0, 0], [0, 0, 0]], (1, 0, 2, 1)),
+            ([[1, 0, 2]], None),
+            ([[1], [0], [2]], None),
+        ],
+    )
+    def test_exhaustive_witness_ties(self, cost, witness):
+        report = check_monge(cost, "exhaustive")
+        assert report.witness == witness
+        assert report == brute_force_monge(cost)
 
     def test_monge_implies_nw_optimal(self):
         rng = random.Random(23)
