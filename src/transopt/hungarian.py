@@ -8,6 +8,9 @@ doubly-covered ones.  The min-weight cover is computed as a minimum cut of a
 flow network whose arcs are the zero cells, which also hands us a maximum
 flow; when that flow saturates every marginal it *is* a feasible plan
 supported on zeros, and the accumulated reductions are a dual certificate.
+A solve builds one network and, after each delta step, moves it to the new
+zeros with `ZeroFlowNetwork.update_zeros`, so each max flow resumes from the
+previous one instead of starting from zero.
 
 Extraction always uses the max flow.  The textbook alternative (repeatedly
 picking rows/columns with a single zero) is not used: it can deadlock on ties,
@@ -139,6 +142,13 @@ class ZeroFlowNetwork:
 
     Max flow is computed with shortest augmenting paths, neighbors scanned in
     ascending node order, so flows and cuts are deterministic.
+
+    `update_zeros` moves the network to the next reduced matrix of a solve and
+    keeps the flow, so the next `max_flow` augments from it instead of from
+    zero (the primal-dual scheme of Ford and Fulkerson).  The source side of
+    the canonical cut is the same for every maximum flow, so covers and flow
+    values match a fresh network's; only the flow on the zero cells may
+    differ where several maximum flows exist.
     """
 
     def __init__(
@@ -151,23 +161,53 @@ class ZeroFlowNetwork:
         self.n = len(demand)
         self.supply = tuple(supply)
         self.demand = tuple(demand)
-        total = sum(supply, Fraction(0))
-        size = self.m + self.n + 2
         self.source = 0
-        self.sink = size - 1
+        self.sink = self.m + self.n + 1
+        self._unbounded = sum(supply, Fraction(0)) + 1
+        self.zero_cells: list[Cell] = []
+        self._clear_flow()
+        self.update_zeros(reduced)
+
+    def _clear_flow(self) -> None:
+        """Residual graph of the zero flow with marginal arcs only."""
+        size = self.sink + 1
         # residual[u][v] = remaining capacity of arc u -> v
         self.residual = [[Fraction(0)] * size for _ in range(size)]
         for i in range(self.m):
-            self.residual[self.source][1 + i] = supply[i]
+            self.residual[self.source][1 + i] = self.supply[i]
         for j in range(self.n):
-            self.residual[1 + self.m + j][self.sink] = demand[j]
-        self.zero_cells = []
-        unbounded = total + 1
-        for i, row in enumerate(reduced):
-            for j, value in enumerate(row):
-                if value == 0:
-                    self.residual[1 + i][1 + self.m + j] = unbounded
-                    self.zero_cells.append((i, j))
+            self.residual[1 + self.m + j][self.sink] = self.demand[j]
+
+    def _arc_flow(self, cell: Cell) -> Fraction:
+        # flow on a zero arc equals the reverse residual it created
+        i, j = cell
+        return self.residual[1 + self.m + j][1 + i]
+
+    def update_zeros(self, reduced: Matrix) -> None:
+        """Make the zero arcs those of `reduced`, keeping the current flow.
+
+        Arcs of cells that are no longer zero are dropped and every new zero
+        gets an arc.  A delta step only turns doubly-covered zeros nonzero,
+        and a cut's cover never doubly covers a flow-carrying arc, so the flow
+        survives; if a dropped arc does carry flow (a cover from elsewhere),
+        the flow restarts from zero.
+        """
+        zero_cells = [
+            (i, j)
+            for i, row in enumerate(reduced)
+            for j, value in enumerate(row)
+            if value == 0
+        ]
+        dropped = set(self.zero_cells).difference(zero_cells)
+        if any(self._arc_flow(cell) > 0 for cell in dropped):
+            self._clear_flow()
+        for i, j in dropped:
+            self.residual[1 + i][1 + self.m + j] = Fraction(0)
+        # no flow reaches a zero arc's capacity, so a kept arc's forward
+        # residual may be reset to it; its flow stays in the reverse residual
+        for i, j in zero_cells:
+            self.residual[1 + i][1 + self.m + j] = self._unbounded
+        self.zero_cells = zero_cells
         self._flow_value: Fraction | None = None
         self._reached: frozenset[int] = frozenset()
 
@@ -188,14 +228,14 @@ class ZeroFlowNetwork:
         return parent
 
     def max_flow(self) -> Fraction:
-        """Run augmenting paths to completion; idempotent.
+        """Augment the current flow to a maximum one and return its value;
+        idempotent until the next `update_zeros`.
 
         The last search finds no path, so it reaches everything the source
         can; that set is kept as the source side of the canonical min cut.
         """
         if self._flow_value is not None:
             return self._flow_value
-        total = Fraction(0)
         while True:
             parent = self._search()
             if parent[self.sink] < 0:
@@ -209,20 +249,21 @@ class ZeroFlowNetwork:
             for u, v in path:
                 self.residual[u][v] -= bottleneck
                 self.residual[v][u] += bottleneck
-            total += bottleneck
         self._reached = frozenset(v for v, p in enumerate(parent) if p >= 0)
-        self._flow_value = total
-        return total
+        self._flow_value = sum(
+            (cap - left for cap, left in zip(self.supply, self.residual[self.source][1:])),
+            Fraction(0),
+        )
+        return self._flow_value
 
     def zero_cell_flow(self) -> dict[Cell, Fraction]:
         """Flow routed through each zero cell (positive entries only)."""
         self.max_flow()
         flow: dict[Cell, Fraction] = {}
-        for i, j in self.zero_cells:
-            # flow on the arc equals the reverse residual it created
-            q = self.residual[1 + self.m + j][1 + i]
+        for cell in self.zero_cells:
+            q = self._arc_flow(cell)
             if q > 0:
-                flow[(i, j)] = q
+                flow[cell] = q
         return flow
 
     def source_side(self) -> set[int]:
@@ -279,6 +320,13 @@ def min_weight_zero_cover(
     if len(matrix) != len(supply_v) or len(matrix[0]) != len(demand_v):
         raise ValueError("matrix shape does not match supply/demand lengths")
     network = ZeroFlowNetwork(matrix, supply_v, demand_v)
+    cover, flow_value = _network_cover(network, matrix)
+    return cover, flow_value, network.zero_cell_flow()
+
+
+def _network_cover(network: ZeroFlowNetwork, matrix: Matrix) -> tuple[LineCover, Fraction]:
+    """Max flow and min-cut cover of a network built on `matrix`, checked:
+    the cover weighs exactly the flow and leaves no zero uncovered."""
     flow_value = network.max_flow()
     cover = network.min_cut_cover()
     if cover.weight != flow_value:
@@ -288,7 +336,7 @@ def min_weight_zero_cover(
     leak = first_uncovered_zero(matrix, cover)
     if leak is not None:
         raise RuntimeError(f"derived cover misses the zero at {leak}")
-    return cover, flow_value, network.zero_cell_flow()
+    return cover, flow_value
 
 
 def delta_adjust(
@@ -365,6 +413,13 @@ def solve_weighted_hungarian(
     Non-integer costs are scaled to integers first, which bounds the
     iteration count; the plan and certificate come back in original units.
 
+    One zero network serves the whole solve, its flow carried across delta
+    steps.  Covers, flow values, deltas and matrices are those of a fresh
+    network per iteration.  Tie policy: the plan is the zero-cell flow of
+    this warm-started max flow, which is deterministic; where several optimal
+    plans exist it may differ from the plan of a cold-start flow on the final
+    matrix (`min_weight_zero_cover`), at equal cost.
+
     `cover_hook(iteration_index, matrix, cover)` may return replacement
     (rows, cols) for any iteration's cover - e.g. to pin a published cover in
     a regression test - or None to keep the computed one.  A replacement must
@@ -380,9 +435,10 @@ def solve_weighted_hungarian(
     alpha = list(row_offsets)
     beta = list(col_offsets)
 
+    network = ZeroFlowNetwork(reduced, supply, demand)
     iterations: list[HungarianIteration] = []
     while True:
-        cover, flow_value, zero_flow = min_weight_zero_cover(reduced, supply, demand)
+        cover, flow_value = _network_cover(network, reduced)
         if cover_hook is not None:
             override = cover_hook(len(iterations), reduced, cover)
             if override is not None:
@@ -404,8 +460,9 @@ def solve_weighted_hungarian(
         for j in cover.cols:
             beta[j] -= delta
         reduced = adjusted
+        network.update_zeros(reduced)
 
-    plan = extract_plan_from_zeros(reduced, supply, demand, zero_flow)
+    plan = extract_plan_from_zeros(reduced, supply, demand, network.zero_cell_flow())
     certificate = DualCertificate(
         tuple(a / scale for a in alpha),
         tuple(b / scale for b in beta),

@@ -3,12 +3,26 @@ exact-count suites and hypothesis strategies for property tests."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from transopt import MongeReport, TransportInstance, TransportPlan, new_instance
+from transopt import (
+    DualCertificate,
+    HungarianIteration,
+    MongeReport,
+    SolveTrace,
+    TransportInstance,
+    TransportPlan,
+    delta_adjust,
+    extract_plan_from_zeros,
+    line_cover,
+    min_weight_zero_cover,
+    new_instance,
+    reduce_matrix,
+)
 from transopt.core import as_matrix
 
 CONVEX_SHAPES = {
@@ -41,6 +55,36 @@ def brute_force_monge(cost) -> MongeReport:
                     if direct > cross:
                         return MongeReport(False, (i, j, r, s), direct, cross)
     return MongeReport(True)
+
+
+def cold_start_solve(instance: TransportInstance, cover_hook=None) -> SolveTrace:
+    """Reference for `solve_weighted_hungarian`: the same cover / delta loop
+    from the public step functions, with a fresh zero network (max flow from
+    zero) at every cover step."""
+    supply, demand = instance.supply, instance.demand
+    scale = math.lcm(*(c.denominator for row in instance.cost for c in row))
+    reduced, alpha, beta = reduce_matrix([[c * scale for c in row] for row in instance.cost])
+    alpha, beta = list(alpha), list(beta)
+    iterations = []
+    while True:
+        cover, flow_value, zero_flow = min_weight_zero_cover(reduced, supply, demand)
+        if cover_hook is not None:
+            override = cover_hook(len(iterations), reduced, cover)
+            if override is not None:
+                cover = line_cover(*override, supply, demand)
+        if flow_value == instance.total:
+            iterations.append(HungarianIteration(reduced, cover, flow_value, None))
+            break
+        adjusted, delta = delta_adjust(reduced, cover)
+        iterations.append(HungarianIteration(reduced, cover, flow_value, delta))
+        alpha = [a if i in cover.rows else a + delta for i, a in enumerate(alpha)]
+        beta = [b - delta if j in cover.cols else b for j, b in enumerate(beta)]
+        reduced = adjusted
+    plan = extract_plan_from_zeros(reduced, supply, demand, zero_flow)
+    certificate = DualCertificate(
+        tuple(a / scale for a in alpha), tuple(b / scale for b in beta)
+    )
+    return SolveTrace(scale, tuple(iterations), plan, certificate)
 
 
 def composition(rng: random.Random, total: int, parts: int) -> list[int]:
