@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     CyclicBasisError,
     DualCertificate,
-    OptimalityReport,
     TransportInstance,
     TransportPlan,
     _spanning_forest,
@@ -180,119 +179,37 @@ def serialize_instance(instance: TransportInstance) -> str:
 # ---------------------------------------------------------------- output
 
 
-def _matrix_lines(matrix: Sequence[Sequence[Fraction]], indent: str) -> list[str]:
-    cells = [[format_rational(v) for v in row] for row in matrix]
-    width = max(len(s) for row in cells for s in row)
-    return [indent + " ".join(s.rjust(width) for s in row) for row in cells]
-
-
-def _cover_text(cover) -> str:
-    rows = "{" + ", ".join(str(i + 1) for i in sorted(cover.rows)) + "}"
-    cols = "{" + ", ".join(str(j + 1) for j in sorted(cover.cols)) + "}"
-    return f"rows {rows} cols {cols} weight {format_rational(cover.weight)}"
-
-
-def _trace_lines(trace: SolveTrace) -> list[str]:
-    lines = ["trace:"]
-    if trace.scale != 1:
-        lines.append(f"  scale: {trace.scale}")
-    for k, it in enumerate(trace.iterations, start=1):
-        lines.append(f"  iteration {k}:")
-        lines.append("    reduced matrix:")
-        lines.extend(_matrix_lines(it.matrix, "      "))
-        lines.append(f"    cover: {_cover_text(it.cover)}")
-        delta = "none" if it.delta is None else format_rational(it.delta)
-        lines.append(f"    delta: {delta}")
-    return lines
-
-
-def _plan_lines(instance: TransportInstance, plan: TransportPlan) -> list[str]:
-    lines = ["plan:"]
-    if not len(plan):
-        lines.append("  (empty)")
-    for i, j in plan.cells():
-        lines.append(f"  ({i + 1}, {j + 1}) = {format_rational(plan.quantity(i, j))}")
-    lines.append(f"total cost = {format_rational(plan_cost(instance, plan))}")
-    return lines
-
-
-def _violation_text(violation) -> str:
-    kind, i, j, lhs, cij = violation
-    relation = ">" if kind == "dual" else "!="
-    return (
-        f"{kind} at ({i + 1}, {j + 1}): alpha + beta = {format_rational(lhs)} "
-        f"{relation} cost = {format_rational(cij)}"
-    )
-
-
-def _certificate_lines(
-    cert: DualCertificate | None,
-    report: OptimalityReport | None,
-    hints: list[tuple[int, int]],
-    unavailable_reason: str | None,
-) -> list[str]:
-    if cert is None:
-        return [f"certificate: unavailable ({unavailable_reason})"]
-    lines = ["certificate:"]
-    lines.append("  alpha: " + " ".join(format_rational(a) for a in cert.alpha))
-    lines.append("  beta: " + " ".join(format_rational(b) for b in cert.beta))
-    if hints:
-        lines.append(
-            "  basis hints: " + " ".join(f"({i + 1}, {j + 1})" for i, j in hints)
-        )
-    lines.append(f"  verified optimal: {'yes' if report.optimal else 'no'}")
-    if not report.optimal:
-        lines.append(f"  first violation: {_violation_text(report.violation)}")
-        lines.append("  note: plan is not certified optimal")
-    return lines
-
-
-def _instance_json(instance: TransportInstance) -> dict:
-    return {
-        "m": instance.m,
-        "n": instance.n,
-        "total": format_rational(instance.total),
-        "cost": [[format_rational(v) for v in row] for row in instance.cost],
-        "supply": [format_rational(v) for v in instance.supply],
-        "demand": [format_rational(v) for v in instance.demand],
-    }
-
-
-def _plan_json(plan: TransportPlan) -> list[dict]:
-    return [
-        {"row": i + 1, "col": j + 1, "quantity": format_rational(plan.quantity(i, j))}
-        for i, j in plan.cells()
-    ]
-
-
-def _trace_json(trace: SolveTrace) -> list[dict]:
-    return [
-        {
-            "matrix": [[format_rational(v) for v in row] for row in it.matrix],
-            "cover": {
-                "rows": [i + 1 for i in sorted(it.cover.rows)],
-                "cols": [j + 1 for j in sorted(it.cover.cols)],
-                "weight": format_rational(it.cover.weight),
-            },
-            "flow": format_rational(it.flow_value),
-            "delta": None if it.delta is None else format_rational(it.delta),
-        }
-        for it in trace.iterations
-    ]
+def _exact(values: Iterable[Fraction]) -> list[str]:
+    return [format_rational(v) for v in values]
 
 
 def _certificate_json(
-    cert: DualCertificate | None,
-    report: OptimalityReport | None,
-    hints: list[tuple[int, int]],
-    unavailable_reason: str | None,
-) -> dict | None:
+    instance: TransportInstance, plan: TransportPlan, cert: DualCertificate | None
+) -> dict:
+    """Check the plan against the solver's duals or, for a plan that came
+    without any, against duals computed from its basis.
+
+    Degenerate plans get the lexicographically first zero-flow cells that
+    connect the support graph into a spanning tree.
+    """
+    hints: list[tuple[int, int]] = []
     if cert is None:
-        return {"available": False, "reason": unavailable_reason}
+        m, n = instance.m, instance.n
+        row_major = ((i, j) for i in range(m) for j in range(n))
+        tree, _ = _spanning_forest(m, n, chain(plan.cells(), row_major))
+        hints = [cell for cell in tree if cell not in plan.entries]
+        try:
+            cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
+        except CyclicBasisError:
+            return {
+                "available": False,
+                "reason": "plan support contains a cycle; not a basic solution",
+            }
+    report = verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
-        "alpha": [format_rational(a) for a in cert.alpha],
-        "beta": [format_rational(b) for b in cert.beta],
+        "alpha": _exact(cert.alpha),
+        "beta": _exact(cert.beta),
         "verified_optimal": report.optimal,
     }
     if hints:
@@ -307,6 +224,99 @@ def _certificate_json(
             "cost": format_rational(cij),
         }
     return doc
+
+
+def _solve_document(
+    args: argparse.Namespace,
+    instance: TransportInstance,
+    plan: TransportPlan,
+    trace: SolveTrace | None,
+    cert: DualCertificate | None,
+) -> dict:
+    """The result of `solve` as `--json` prints it (docs/result_schema.json):
+    rationals are strings and indices 1-based.  The instance block is built
+    for `--json` only; the text report does not show it."""
+    doc = {
+        "method": args.method,
+        "plan": [
+            {"row": i + 1, "col": j + 1, "quantity": format_rational(plan.quantity(i, j))}
+            for i, j in plan.cells()
+        ],
+        "cost": format_rational(plan_cost(instance, plan)),
+    }
+    if args.json:
+        doc["instance"] = {
+            "m": instance.m,
+            "n": instance.n,
+            "total": format_rational(instance.total),
+            "cost": [_exact(row) for row in instance.cost],
+            "supply": _exact(instance.supply),
+            "demand": _exact(instance.demand),
+        }
+    if args.trace and trace is not None:
+        doc["scale"] = trace.scale
+        doc["trace"] = [
+            {
+                "matrix": [_exact(row) for row in it.matrix],
+                "cover": {
+                    "rows": [i + 1 for i in sorted(it.cover.rows)],
+                    "cols": [j + 1 for j in sorted(it.cover.cols)],
+                    "weight": format_rational(it.cover.weight),
+                },
+                "flow": format_rational(it.flow_value),
+                "delta": None if it.delta is None else format_rational(it.delta),
+            }
+            for it in trace.iterations
+        ]
+    if args.certificate:
+        doc["certificate"] = _certificate_json(instance, plan, cert)
+    return doc
+
+
+def _text(doc: dict) -> str:
+    """The text report of `solve`, rendered from its result document."""
+    lines = [f"method: {doc['method']}"]
+    if "trace" in doc:
+        lines.append("trace:")
+        if doc["scale"] != 1:
+            lines.append(f"  scale: {doc['scale']}")
+        for k, it in enumerate(doc["trace"], start=1):
+            width = max(len(v) for row in it["matrix"] for v in row)
+            lines.append(f"  iteration {k}:")
+            lines.append("    reduced matrix:")
+            lines.extend(
+                "      " + " ".join(v.rjust(width) for v in row) for row in it["matrix"]
+            )
+            rows, cols = (
+                "{" + ", ".join(map(str, it["cover"][key])) + "}" for key in ("rows", "cols")
+            )
+            lines.append(f"    cover: rows {rows} cols {cols} weight {it['cover']['weight']}")
+            lines.append(f"    delta: {it['delta'] or 'none'}")
+    lines.append("plan:")
+    if not doc["plan"]:
+        lines.append("  (empty)")
+    lines.extend(f"  ({e['row']}, {e['col']}) = {e['quantity']}" for e in doc["plan"])
+    lines.append(f"total cost = {doc['cost']}")
+    cert = doc.get("certificate")
+    if cert is not None and not cert["available"]:
+        lines.append(f"certificate: unavailable ({cert['reason']})")
+    elif cert is not None:
+        lines.append("certificate:")
+        lines.append("  alpha: " + " ".join(cert["alpha"]))
+        lines.append("  beta: " + " ".join(cert["beta"]))
+        if "basis_hints" in cert:
+            cells = (f"({i}, {j})" for i, j in cert["basis_hints"])
+            lines.append("  basis hints: " + " ".join(cells))
+        lines.append(f"  verified optimal: {'yes' if cert['verified_optimal'] else 'no'}")
+        if "first_violation" in cert:
+            v = cert["first_violation"]
+            relation = ">" if v["kind"] == "dual" else "!="
+            lines.append(
+                f"  first violation: {v['kind']} at ({v['row']}, {v['col']}): "
+                f"alpha + beta = {v['alpha_plus_beta']} {relation} cost = {v['cost']}"
+            )
+            lines.append("  note: plan is not certified optimal")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- commands
@@ -328,32 +338,10 @@ def _load_instance(path: str) -> TransportInstance:
         raise CommandError(EXIT_INPUT_ERROR, f"{path}: {exc}") from exc
 
 
-def _certificate_for_plan(instance: TransportInstance, plan: TransportPlan):
-    """Best-effort certificate for a plan that came without one.
-
-    Degenerate plans get the lexicographically first zero-flow cells that
-    connect the support graph into a spanning tree.
-    """
-    m, n = instance.m, instance.n
-    row_major = ((i, j) for i in range(m) for j in range(n))
-    tree, _ = _spanning_forest(m, n, chain(plan.cells(), row_major))
-    hints = [cell for cell in tree if cell not in plan.entries]
-    try:
-        cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
-    except CyclicBasisError:
-        return None, None, [], "plan support contains a cycle; not a basic solution"
-    report = verify_optimal(instance, plan, cert)
-    return cert, report, hints, None
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.file)
     trace: SolveTrace | None = None
     cert: DualCertificate | None = None
-    report: OptimalityReport | None = None
-    hints: list[tuple[int, int]] = []
-    unavailable: str | None = None
-
     if args.method == "hungarian":
         if any(v.denominator != 1 for v in instance.supply + instance.demand):
             raise CommandError(
@@ -361,41 +349,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "method hungarian requires integer supplies and demands",
             )
         plan, cert, trace = solve_weighted_hungarian(instance)
-        report = verify_optimal(instance, plan, cert)
     elif args.method == "nw":
         plan = north_west_corner(instance)
-        if args.certificate:
-            cert, report, hints, unavailable = _certificate_for_plan(instance, plan)
     else:  # oracle
         try:
             plan = enumerate_optimum(instance).plan
         except ValueError as exc:
             raise CommandError(EXIT_PRECONDITION, f"method oracle: {exc}") from exc
-        if args.certificate:
-            cert, report, hints, unavailable = _certificate_for_plan(instance, plan)
-
-    if args.json:
-        doc = {
-            "method": args.method,
-            "instance": _instance_json(instance),
-            "plan": _plan_json(plan),
-            "cost": format_rational(plan_cost(instance, plan)),
-        }
-        if args.trace and trace is not None:
-            doc["trace"] = _trace_json(trace)
-            doc["scale"] = trace.scale
-        if args.certificate:
-            doc["certificate"] = _certificate_json(cert, report, hints, unavailable)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-
-    lines: list[str] = [f"method: {args.method}"]
-    if args.trace and trace is not None:
-        lines.extend(_trace_lines(trace))
-    lines.extend(_plan_lines(instance, plan))
-    if args.certificate:
-        lines.extend(_certificate_lines(cert, report, hints, unavailable))
-    print("\n".join(lines))
+    doc = _solve_document(args, instance, plan, trace, cert)
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else _text(doc))
     return EXIT_OK
 
 
@@ -500,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="nw: North West corner rule; hungarian: weighted Hungarian method; "
         "oracle: brute-force enumeration (tiny instances only)",
     )
-    solve.add_argument("--trace", action="store_true", help="show each iteration")
+    solve.add_argument(
+        "--trace", action="store_true", help="show each iteration (--method hungarian only)"
+    )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
     solve.add_argument(
         "--certificate", action="store_true", help="show duals and verification verdict"

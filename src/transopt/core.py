@@ -261,6 +261,15 @@ def _integer_marginals(
     return [v.numerator for v in supply], [v.numerator for v in demand]
 
 
+def _scaled_to_integers(
+    matrix: Sequence[Sequence[Fraction]],
+) -> tuple[int, list[list[int]]]:
+    """Scale a rational matrix by the least common multiple of its
+    denominators: (scale, the scaled rows as ints)."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+
+
 def _spanning_forest(
     m: int, n: int, cells: Iterable[Cell]
 ) -> tuple[list[Cell], list[Cell]]:

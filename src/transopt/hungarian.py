@@ -23,7 +23,6 @@ demand[j] times; both directions are provided for cross-validation.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _integer_marginals,
+    _scaled_to_integers,
     as_matrix,
     as_vector,
     new_instance,
@@ -428,9 +428,7 @@ def solve_weighted_hungarian(
     supply, demand = instance.supply, instance.demand
     _integer_marginals(supply, demand)
 
-    scale = math.lcm(*(c.denominator for row in instance.cost for c in row))
-    scaled_cost = tuple(tuple(c * scale for c in row) for row in instance.cost)
-
+    scale, scaled_cost = _scaled_to_integers(instance.cost)
     reduced, row_offsets, col_offsets = reduce_matrix(scaled_cost)
     alpha = list(row_offsets)
     beta = list(col_offsets)

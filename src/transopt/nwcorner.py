@@ -14,13 +14,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _scaled_to_integers,
     as_fraction,
     as_matrix,
     as_vector,
@@ -113,8 +113,7 @@ def check_monge(
     matrix = as_matrix(cost)
     if mode not in ("adjacent", "exhaustive"):
         raise ValueError(f"mode must be 'adjacent' or 'exhaustive', got {mode!r}")
-    scale = lcm(*(v.denominator for row in matrix for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    _, rows = _scaled_to_integers(matrix)
     if mode == "adjacent":
         witness = _first_adjacent_violation(rows)
     else:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from transopt import BalanceError, cli
+from transopt import BalanceError, TransportPlan, cli
 from transopt.cli import (
     ParseError,
     format_rational,
@@ -13,6 +13,7 @@ from transopt.cli import (
     parse_instance,
     serialize_instance,
 )
+from transopt.oracle import OracleResult
 
 DATA = Path(__file__).parent / "data"
 WORKED = DATA / "worked_example.txt"
@@ -190,7 +191,7 @@ class TestSolveCommand:
         for row in doc["instance"]["cost"]:
             assert all(RATIONAL_TOKEN.match(v) for v in row)
 
-    def test_json_trace_matches_schema_fixture(self, capsys):
+    def test_json_trace_matches_schema_fixture(self, tmp_path, capsys):
         schema = json.loads((Path(__file__).parents[1] / "docs" / "result_schema.json").read_text())
         _, out, _ = run(
             capsys, "solve", str(WORKED), "--method", "hungarian",
@@ -205,6 +206,94 @@ class TestSolveCommand:
             assert all(k in iteration for k in iteration_required)
         pattern = re.compile(schema["definitions"]["rational"]["pattern"])
         assert pattern.match(doc["cost"])
+
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft7Validator(schema)
+        instances = [WORKED, TINY, RATIONAL, HALVES, self._zero_total(tmp_path)]
+        flag_sets = ((), ("--trace",), ("--certificate",), ("--trace", "--certificate"))
+        validated = 0
+        for path in instances:
+            for method in ("hungarian", "nw", "oracle"):
+                for flags in flag_sets:
+                    code, out, _ = run(
+                        capsys, "solve", str(path), "--method", method, "--json", *flags
+                    )
+                    if code != 0:
+                        continue
+                    errors = [e.message for e in validator.iter_errors(json.loads(out))]
+                    assert not errors, (path.name, method, flags, errors)
+                    validated += 1
+        assert validated >= 40
+
+    @staticmethod
+    def _zero_total(tmp_path):
+        path = tmp_path / "zero_total.txt"
+        path.write_text("2 2\n1 2\n3 4\n0 0\n0 0\n")
+        return path
+
+    def test_fractional_costs_report_scale(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(RATIONAL), "--method", "hungarian", "--trace"
+        )
+        assert code == 0
+        assert "trace:\n  scale: 12\n  iteration 1:\n" in out
+        code, out, _ = run(
+            capsys, "solve", str(RATIONAL), "--method", "hungarian", "--trace", "--json"
+        )
+        assert code == 0
+        assert '"scale": 12' in out
+        assert json.loads(out)["scale"] == 12
+
+    def test_nw_certificate_on_zero_total_instance(self, tmp_path, capsys):
+        path = self._zero_total(tmp_path)
+        code, out, _ = run(capsys, "solve", str(path), "--method", "nw", "--certificate")
+        assert code == 0
+        assert "plan:\n  (empty)\ntotal cost = 0\n" in out
+        assert "  basis hints: (1, 1) (1, 2) (2, 1)\n" in out
+        assert "  verified optimal: yes\n" in out
+        code, out, _ = run(
+            capsys, "solve", str(path), "--method", "nw", "--certificate", "--json"
+        )
+        assert code == 0
+        assert '"plan": []' in out
+        assert '"basis_hints"' in out
+        cert = json.loads(out)["certificate"]
+        assert cert["basis_hints"] == [[1, 1], [1, 2], [2, 1]]
+        assert cert["verified_optimal"] is True
+
+    def test_nw_json_first_violation(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(WORKED), "--method", "nw", "--certificate", "--json"
+        )
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["verified_optimal"] is False
+        assert cert["basis_hints"] == [[1, 2]]
+        assert cert["first_violation"] == {
+            "kind": "dual",
+            "row": 1,
+            "col": 3,
+            "alpha_plus_beta": "9",
+            "cost": "3",
+        }
+
+    def test_certificate_unavailable_for_cyclic_plan(self, tmp_path, monkeypatch, capsys):
+        # The oracle returns basic plans; a stub stands in for one that is not.
+        path = tmp_path / "flat.txt"
+        path.write_text("2 2\n0 0\n0 0\n2 2\n2 2\n")
+        cyclic = OracleResult(
+            Fraction(0), TransportPlan({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}), 1
+        )
+        monkeypatch.setattr(cli, "enumerate_optimum", lambda instance: cyclic)
+        reason = "plan support contains a cycle; not a basic solution"
+        code, out, _ = run(capsys, "solve", str(path), "--method", "oracle", "--certificate")
+        assert code == 0
+        assert out.endswith(f"total cost = 0\ncertificate: unavailable ({reason})\n")
+        code, out, _ = run(
+            capsys, "solve", str(path), "--method", "oracle", "--certificate", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"] == {"available": False, "reason": reason}
 
     def test_oracle_guard_gives_exit_3(self, capsys):
         code, _, err = run(capsys, "solve", str(WORKED), "--method", "oracle")
