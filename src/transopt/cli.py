@@ -95,9 +95,7 @@ class CommandError(Exception):
 
 def format_rational(value: Fraction) -> str:
     """Render exactly: integers without denominator, otherwise p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def _data_lines(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
@@ -170,17 +168,13 @@ def serialize_instance(instance: TransportInstance) -> str:
     """Canonical instance text: single spaces, no comments, trailing newline."""
     lines = [f"{instance.m} {instance.n}"]
     for row in instance.cost:
-        lines.append(" ".join(format_rational(v) for v in row))
-    lines.append(" ".join(format_rational(v) for v in instance.supply))
-    lines.append(" ".join(format_rational(v) for v in instance.demand))
+        lines.append(" ".join(map(str, row)))
+    lines.append(" ".join(map(str, instance.supply)))
+    lines.append(" ".join(map(str, instance.demand)))
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- output
-
-
-def _exact(values: Iterable[Fraction]) -> list[str]:
-    return [format_rational(v) for v in values]
 
 
 def _certificate_json(
@@ -208,8 +202,8 @@ def _certificate_json(
     report = verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
-        "alpha": _exact(cert.alpha),
-        "beta": _exact(cert.beta),
+        "alpha": [str(v) for v in cert.alpha],
+        "beta": [str(v) for v in cert.beta],
         "verified_optimal": report.optimal,
     }
     if hints:
@@ -220,8 +214,8 @@ def _certificate_json(
             "kind": kind,
             "row": i + 1,
             "col": j + 1,
-            "alpha_plus_beta": format_rational(lhs),
-            "cost": format_rational(cij),
+            "alpha_plus_beta": str(lhs),
+            "cost": str(cij),
         }
     return doc
 
@@ -239,32 +233,32 @@ def _solve_document(
     doc = {
         "method": args.method,
         "plan": [
-            {"row": i + 1, "col": j + 1, "quantity": format_rational(plan.quantity(i, j))}
+            {"row": i + 1, "col": j + 1, "quantity": str(plan.quantity(i, j))}
             for i, j in plan.cells()
         ],
-        "cost": format_rational(plan_cost(instance, plan)),
+        "cost": str(plan_cost(instance, plan)),
     }
     if args.json:
         doc["instance"] = {
             "m": instance.m,
             "n": instance.n,
-            "total": format_rational(instance.total),
-            "cost": [_exact(row) for row in instance.cost],
-            "supply": _exact(instance.supply),
-            "demand": _exact(instance.demand),
+            "total": str(instance.total),
+            "cost": [[str(v) for v in row] for row in instance.cost],
+            "supply": [str(v) for v in instance.supply],
+            "demand": [str(v) for v in instance.demand],
         }
     if args.trace and trace is not None:
         doc["scale"] = trace.scale
         doc["trace"] = [
             {
-                "matrix": [_exact(row) for row in it.matrix],
+                "matrix": [[str(v) for v in row] for row in it.matrix],
                 "cover": {
                     "rows": [i + 1 for i in sorted(it.cover.rows)],
                     "cols": [j + 1 for j in sorted(it.cover.cols)],
-                    "weight": format_rational(it.cover.weight),
+                    "weight": str(it.cover.weight),
                 },
-                "flow": format_rational(it.flow_value),
-                "delta": None if it.delta is None else format_rational(it.delta),
+                "flow": str(it.flow_value),
+                "delta": None if it.delta is None else str(it.delta),
             }
             for it in trace.iterations
         ]
@@ -322,16 +316,12 @@ def _text(doc: dict) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _read_text(path: str) -> str:
+def _load_instance(path: str) -> TransportInstance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise CommandError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_instance(path: str) -> TransportInstance:
-    text = _read_text(path)
     try:
         return parse_instance(text)
     except ValueError as exc:  # ParseError, BalanceError, validation errors
@@ -342,20 +332,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.file)
     trace: SolveTrace | None = None
     cert: DualCertificate | None = None
-    if args.method == "hungarian":
-        if any(v.denominator != 1 for v in instance.supply + instance.demand):
-            raise CommandError(
-                EXIT_PRECONDITION,
-                "method hungarian requires integer supplies and demands",
-            )
-        plan, cert, trace = solve_weighted_hungarian(instance)
-    elif args.method == "nw":
-        plan = north_west_corner(instance)
-    else:  # oracle
-        try:
+    if args.method == "hungarian" and any(
+        v.denominator != 1 for v in instance.supply + instance.demand
+    ):
+        raise CommandError(
+            EXIT_PRECONDITION, "method hungarian requires integer supplies and demands"
+        )
+    try:
+        if args.method == "hungarian":
+            plan, cert, trace = solve_weighted_hungarian(instance)
+        elif args.method == "nw":
+            plan = north_west_corner(instance)
+        else:  # oracle
             plan = enumerate_optimum(instance).plan
-        except ValueError as exc:
-            raise CommandError(EXIT_PRECONDITION, f"method oracle: {exc}") from exc
+    except ValueError as exc:  # size guards and method preconditions
+        raise CommandError(EXIT_PRECONDITION, f"method {args.method}: {exc}") from exc
     doc = _solve_document(args, instance, plan, trace, cert)
     print(json.dumps(doc, indent=2, sort_keys=True) if args.json else _text(doc))
     return EXIT_OK
@@ -371,8 +362,7 @@ def _cmd_check_monge(args: argparse.Namespace) -> int:
     print(
         f"MONGE: VIOLATED at ({i + 1}, {j + 1}, {r + 1}, {s + 1}): "
         f"cost[{i + 1}][{j + 1}] + cost[{r + 1}][{s + 1}] = "
-        f"{format_rational(result.direct_sum)} > "
-        f"{format_rational(result.cross_sum)} = "
+        f"{result.direct_sum!s} > {result.cross_sum!s} = "
         f"cost[{r + 1}][{j + 1}] + cost[{i + 1}][{s + 1}]"
     )
     return EXIT_VIOLATED
@@ -416,29 +406,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             supply = supply or [Fraction(1)] * m
             demand = demand or [Fraction(1)] * n
             instance = new_instance(cost, supply, demand)
-        elif kind in ("factored", "sum", "convexdiff"):
+        else:
             _require(not args.params, f"{kind} takes no positional parameters")
             _require(bool(x) and bool(y), f"{kind} requires --x and --y")
-            _require(
-                bool(supply) and bool(demand), f"{kind} requires --supply and --demand"
-            )
-            if kind == "factored":
-                cost = factored_cost(x, y)
-            elif kind == "sum":
-                cost = sum_cost(x, y)
+            if kind == "problemp":
+                p_row = _rationals(args.p_row or [], "--p-row")
+                p_col = _rationals(args.p_col or [], "--p-col")
+                _require(bool(p_row) and bool(p_col), "problemp requires --p-row and --p-col")
+                spec = ProblemPSpec(
+                    tuple(x), tuple(y), tuple(p_row), tuple(p_col), COST_SHAPES[args.f]
+                )
+                instance = problem_p_instance(spec)
             else:
-                cost = convex_diff_cost(x, y, COST_SHAPES[args.f])
-            instance = new_instance(cost, supply, demand)
-        else:  # problemp
-            _require(not args.params, "problemp takes no positional parameters")
-            _require(bool(x) and bool(y), "problemp requires --x and --y")
-            p_row = _rationals(args.p_row or [], "--p-row")
-            p_col = _rationals(args.p_col or [], "--p-col")
-            _require(
-                bool(p_row) and bool(p_col), "problemp requires --p-row and --p-col"
-            )
-            spec = ProblemPSpec(tuple(x), tuple(y), tuple(p_row), tuple(p_col), COST_SHAPES[args.f])
-            instance = problem_p_instance(spec)
+                _require(bool(supply) and bool(demand), f"{kind} requires --supply and --demand")
+                if kind == "factored":
+                    cost = factored_cost(x, y)
+                elif kind == "sum":
+                    cost = sum_cost(x, y)
+                else:
+                    cost = convex_diff_cost(x, y, COST_SHAPES[args.f])
+                instance = new_instance(cost, supply, demand)
     except ValueError as exc:
         raise CommandError(EXIT_INPUT_ERROR, str(exc)) from exc
 

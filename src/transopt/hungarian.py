@@ -38,6 +38,7 @@ from .core import (
     _scaled_to_integers,
     as_matrix,
     as_vector,
+    is_feasible,
     new_instance,
     plan_cost,
     verify_optimal,
@@ -62,6 +63,10 @@ __all__ = [
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 CoverHook = Callable[[int, Matrix, "LineCover"], "tuple[Iterable[int], Iterable[int]] | None"]
+
+# Most rows plus columns a zero network takes: its residual is a dense
+# (m + n + 2)^2 matrix, about 32 MiB of list slots at this limit.
+MAX_NETWORK_LINES = 2000
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,11 @@ class ZeroFlowNetwork:
     ) -> None:
         self.m = len(supply)
         self.n = len(demand)
+        if self.m + self.n > MAX_NETWORK_LINES:
+            raise ValueError(
+                f"zero network of a {self.m} x {self.n} instance has {self.m + self.n} "
+                f"lines, over the limit of {MAX_NETWORK_LINES}"
+            )
         self.supply = tuple(supply)
         self.demand = tuple(demand)
         self.source = 0
@@ -192,6 +202,8 @@ class ZeroFlowNetwork:
         survives; if a dropped arc does carry flow (a cover from elsewhere),
         the flow restarts from zero.
         """
+        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
+            raise ValueError("matrix shape does not match supply/demand lengths")
         zero_cells = [
             (i, j)
             for i, row in enumerate(reduced)
@@ -317,8 +329,6 @@ def min_weight_zero_cover(
     supply_v = as_vector(supply)
     demand_v = as_vector(demand)
     _integer_marginals(supply_v, demand_v)
-    if len(matrix) != len(supply_v) or len(matrix[0]) != len(demand_v):
-        raise ValueError("matrix shape does not match supply/demand lengths")
     network = ZeroFlowNetwork(matrix, supply_v, demand_v)
     cover, flow_value = _network_cover(network, matrix)
     return cover, flow_value, network.zero_cell_flow()
@@ -345,9 +355,6 @@ def delta_adjust(
     """Subtract the minimum uncovered entry from all uncovered cells and add
     it to all doubly-covered cells; singly-covered cells are unchanged."""
     matrix = as_matrix(reduced)
-    leak = first_uncovered_zero(matrix, cover)
-    if leak is not None:
-        raise ValueError(f"cover leaves the zero at {leak} uncovered")
     uncovered = [
         matrix[i][j]
         for i in range(len(matrix))
@@ -358,7 +365,11 @@ def delta_adjust(
     if not uncovered:
         raise ValueError("every cell is covered; nothing to adjust")
     delta = min(uncovered)
-    assert delta > 0  # zeros are all covered
+    if delta <= 0:
+        leak = first_uncovered_zero(matrix, cover)
+        if leak is not None:
+            raise ValueError(f"cover leaves the zero at {leak} uncovered")
+        raise ValueError(f"uncovered entry {delta} is negative")
 
     def adjust(i: int, j: int, value: Fraction) -> Fraction:
         covered_row = i in cover.rows
@@ -384,20 +395,21 @@ def extract_plan_from_zeros(
 ) -> TransportPlan:
     """Turn a saturating zero-network flow into a plan.
 
-    Requires the flow to saturate the balanced total (the cover step
-    guarantees that exactly when the final cover weight reaches it).
+    Requires the flow to meet every marginal on zero cells (the cover step
+    guarantees that exactly when the final cover weight reaches the total).
     """
-    matrix = as_matrix(reduced)
-    supply_v = as_vector(supply)
-    demand_v = as_vector(demand)
-    required = sum(supply_v, Fraction(0))
-    routed = sum(zero_flow.values(), Fraction(0))
-    if routed != required:
-        raise ValueError(f"zero flow routes {routed}, expected the balanced total {required}")
-    for (i, j), q in zero_flow.items():
-        if matrix[i][j] != 0:
-            raise ValueError(f"flow of {q} on nonzero cell ({i}, {j})")
+    instance = new_instance(reduced, supply, demand)
     plan = TransportPlan(zero_flow)
+    feasible = is_feasible(instance, plan)
+    if not feasible:
+        kind, index, residual = feasible.first_violation
+        raise ValueError(
+            f"zero flow does not ship the balanced total {instance.total} "
+            f"({kind} {index} has residual {residual})"
+        )
+    for (i, j), q in zero_flow.items():
+        if instance.cost[i][j] != 0:
+            raise ValueError(f"flow of {q} on nonzero cell ({i}, {j})")
     return plan
 
 

@@ -1,11 +1,12 @@
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from transopt import BalanceError, TransportPlan, cli
+from transopt import BalanceError, TransportPlan, cli, hungarian
 from transopt.cli import (
     ParseError,
     format_rational,
@@ -331,6 +332,35 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", str(bad), "--method", "nw")
         assert code == 2
         assert "line 2" in err
+
+    def test_huge_header_on_short_file_is_incomplete(self, tmp_path, capsys):
+        short = tmp_path / "short.txt"
+        short.write_text("1000000 1000000\n1 2 3\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "solve", str(short), "--method", "hungarian")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "line 2, column 1: incomplete instance" in err
+        assert peak < 1 << 20
+
+    def test_network_size_guard_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hungarian, "MAX_NETWORK_LINES", 6)
+        code, out, err = run(capsys, "solve", str(WORKED), "--method", "hungarian")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: method hungarian: zero network of a 3 x 4 instance has 7 lines, "
+            "over the limit of 6\n"
+        )
+        narrow = tmp_path / "narrow.txt"
+        narrow.write_text("2 4\n1 2 3 4\n4 3 2 1\n2 2\n1 1 1 1\n")
+        code, out, _ = run(capsys, "solve", str(narrow), "--method", "hungarian")
+        assert code == 0
+        assert out.endswith("total cost = 6\n")
 
 
 class TestCheckMongeCommand:

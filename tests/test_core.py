@@ -198,6 +198,12 @@ class TestComputeDuals:
         for (i, j) in nw.entries:
             assert cert.alpha[i] + cert.beta[j] == worked_instance.cost[i][j]
 
+    @pytest.mark.parametrize("hint", [(3, 0), (0, 4), (-1, 0)])
+    def test_out_of_range_hint_rejected(self, worked_instance, hint):
+        nw = north_west_corner(worked_instance)
+        with pytest.raises(IndexError, match=r"hint cell \(%d, %d\) out of range" % hint):
+            compute_duals_from_plan(worked_instance, nw, basis_hint=[hint])
+
 
 class TestWeakDuality:
     @given(balanced_instances(), st.randoms(use_true_random=False))

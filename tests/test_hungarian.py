@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_instance
+from transopt import hungarian
 from transopt import (
     TransportPlan,
     aggregate_assignment_solution,
@@ -88,6 +89,43 @@ class TestZeroFlowNetwork:
         )
         assert full.max_flow() == 3
 
+    def test_shape_must_match_marginals(self):
+        from transopt import ZeroFlowNetwork
+        from transopt.core import as_matrix, as_vector
+
+        with pytest.raises(ValueError, match="matrix shape does not match"):
+            ZeroFlowNetwork(as_matrix([[1, 1, 0]]), as_vector([1, 1]), as_vector([1, 1]))
+
+    def test_size_guard_refuses_before_allocating(self, worked_instance, monkeypatch):
+        from transopt import ZeroFlowNetwork
+
+        monkeypatch.setattr(hungarian, "MAX_NETWORK_LINES", 6)
+        allocations = []
+        clear_flow = ZeroFlowNetwork._clear_flow
+
+        def counting_clear_flow(network):
+            allocations.append(network)
+            clear_flow(network)
+
+        monkeypatch.setattr(ZeroFlowNetwork, "_clear_flow", counting_clear_flow)
+        with pytest.raises(ValueError, match=r"3 x 4 instance has 7 lines, over the limit of 6"):
+            solve_weighted_hungarian(worked_instance)
+        assert allocations == []
+        inst = new_instance([[1, 2, 3, 4], [4, 3, 2, 1]], [2, 2], [1, 1, 1, 1])
+        plan, _, _ = solve_weighted_hungarian(inst)
+        assert plan_cost(inst, plan) == 6
+        assert len(allocations) == 1
+
+
+class TestLineCover:
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [([2], [], "covered row 2"), ([-1], [], "covered row -1"), ([], [2], "covered column 2")],
+    )
+    def test_out_of_range_line_rejected(self, rows, cols, message):
+        with pytest.raises(IndexError, match=message):
+            line_cover(rows, cols, [1, 1], [1, 1])
+
 
 class TestMinWeightZeroCover:
     def test_worked_example_first_cover_weight_12(self, worked_instance):
@@ -115,6 +153,11 @@ class TestMinWeightZeroCover:
         with pytest.raises(ValueError, match="not an integer"):
             min_weight_zero_cover([[0]], [Fraction(1, 2)], [Fraction(1, 2)])
 
+    @pytest.mark.parametrize("matrix", [[[0, 0, 0]], [[0], [0]]])
+    def test_shape_mismatch_rejected(self, matrix):
+        with pytest.raises(ValueError, match="matrix shape does not match"):
+            min_weight_zero_cover(matrix, [2], [1, 1])
+
 
 class TestDeltaAdjust:
     def test_first_adjustment(self, worked_instance):
@@ -138,6 +181,11 @@ class TestDeltaAdjust:
         cover = line_cover([0, 1], [], [1, 1], [1, 1])
         with pytest.raises(ValueError, match="every cell is covered"):
             delta_adjust([[0, 1], [1, 0]], cover)
+
+    def test_negative_uncovered_entry_rejected(self):
+        cover = line_cover([0], [1], [1, 1], [1, 1])
+        with pytest.raises(ValueError, match="-1 is negative"):
+            delta_adjust([[0, 5], [-1, 0]], cover)
 
     def test_adjustment_shifts_optimum_but_not_optimizers(self):
         # uncovered cells drop by delta, doubly-covered rise: every feasible
@@ -298,6 +346,14 @@ class TestExtractPlan:
     def test_short_flow_rejected(self):
         with pytest.raises(ValueError, match="balanced total"):
             extract_plan_from_zeros([[0, 1], [1, 0]], [1, 1], [1, 1], {(0, 0): 1})
+
+    def test_infeasible_flow_of_full_total_rejected(self):
+        with pytest.raises(ValueError, match="balanced total"):
+            extract_plan_from_zeros([[0, 0], [0, 0]], [1, 1], [1, 1], {(0, 0): 2})
+
+    def test_flow_on_nonzero_cell_rejected(self):
+        with pytest.raises(ValueError, match=r"flow of 1 on nonzero cell \(0, 1\)"):
+            extract_plan_from_zeros([[0, 1], [1, 0]], [1, 1], [1, 1], {(0, 1): 1, (1, 0): 1})
 
 
 class TestExpansion:
