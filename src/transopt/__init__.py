@@ -6,92 +6,12 @@ solve it with `north_west_corner` (optimal for Monge-structured costs) or
 cross-check anything small with the brute-force `oracle` module.
 """
 
-from .core import (
-    BalanceError,
-    CyclicBasisError,
-    DegenerateBasisError,
-    DualCertificate,
-    FeasibilityReport,
-    OptimalityReport,
-    TransportInstance,
-    TransportPlan,
-    as_fraction,
-    compute_duals_from_plan,
-    dual_objective,
-    is_feasible,
-    new_instance,
-    plan_cost,
-    verify_optimal,
-)
-from .hungarian import (
-    HungarianIteration,
-    LineCover,
-    SolveTrace,
-    ZeroFlowNetwork,
-    aggregate_assignment_solution,
-    delta_adjust,
-    expand_to_assignment,
-    extract_plan_from_zeros,
-    line_cover,
-    min_weight_zero_cover,
-    reduce_matrix,
-    solve_assignment,
-    solve_weighted_hungarian,
-)
-from .nwcorner import (
-    MongeOrderWarning,
-    MongeReport,
-    ProblemPSpec,
-    check_monge,
-    convex_diff_cost,
-    factored_cost,
-    north_west_corner,
-    problem_p_instance,
-    sum_cost,
-)
-from .oracle import OracleResult, enumerate_assignment, enumerate_optimum
+from . import core, hungarian, nwcorner, oracle
+from .core import *
+from .hungarian import *
+from .nwcorner import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceError",
-    "CyclicBasisError",
-    "DegenerateBasisError",
-    "DualCertificate",
-    "FeasibilityReport",
-    "HungarianIteration",
-    "LineCover",
-    "MongeOrderWarning",
-    "MongeReport",
-    "OptimalityReport",
-    "OracleResult",
-    "ProblemPSpec",
-    "SolveTrace",
-    "TransportInstance",
-    "TransportPlan",
-    "ZeroFlowNetwork",
-    "aggregate_assignment_solution",
-    "as_fraction",
-    "check_monge",
-    "compute_duals_from_plan",
-    "convex_diff_cost",
-    "delta_adjust",
-    "dual_objective",
-    "enumerate_assignment",
-    "enumerate_optimum",
-    "expand_to_assignment",
-    "extract_plan_from_zeros",
-    "factored_cost",
-    "is_feasible",
-    "line_cover",
-    "min_weight_zero_cover",
-    "new_instance",
-    "north_west_corner",
-    "plan_cost",
-    "problem_p_instance",
-    "reduce_matrix",
-    "solve_assignment",
-    "solve_weighted_hungarian",
-    "sum_cost",
-    "verify_optimal",
-]
+__all__ = sorted(core.__all__ + hungarian.__all__ + nwcorner.__all__ + oracle.__all__)

@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Sequence
@@ -420,7 +421,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             else:
                 _require(bool(supply) and bool(demand), f"{kind} requires --supply and --demand")
                 if kind == "factored":
-                    cost = factored_cost(x, y)
+                    # one stable line per warning, without Python's source location
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        cost = factored_cost(x, y)
+                    for warning in caught:
+                        print(f"warning: {warning.message}", file=sys.stderr)
                 elif kind == "sum":
                     cost = sum_cost(x, y)
                 else:

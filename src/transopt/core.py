@@ -22,18 +22,14 @@ Numberish = int | float | str | Fraction
 
 __all__ = [
     "BalanceError",
-    "Cell",
     "CyclicBasisError",
     "DegenerateBasisError",
     "DualCertificate",
     "FeasibilityReport",
-    "Numberish",
     "OptimalityReport",
     "TransportInstance",
     "TransportPlan",
     "as_fraction",
-    "as_matrix",
-    "as_vector",
     "compute_duals_from_plan",
     "dual_objective",
     "is_feasible",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Cell,
@@ -53,7 +53,6 @@ __all__ = [
     "delta_adjust",
     "expand_to_assignment",
     "extract_plan_from_zeros",
-    "first_uncovered_zero",
     "line_cover",
     "min_weight_zero_cover",
     "reduce_matrix",
@@ -62,7 +61,6 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-CoverHook = Callable[[int, Matrix, "LineCover"], "tuple[Iterable[int], Iterable[int]] | None"]
 
 # Most rows plus columns a zero network takes: its residual is a dense
 # (m + n + 2)^2 matrix, about 32 MiB of list slots at this limit.
@@ -199,7 +197,7 @@ class ZeroFlowNetwork:
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
         and a cut's cover never doubly covers a flow-carrying arc, so the flow
-        survives; if a dropped arc does carry flow (a cover from elsewhere),
+        survives; if a dropped arc does carry flow (an arbitrary new matrix),
         the flow restarts from zero.
         """
         if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
@@ -415,15 +413,15 @@ def extract_plan_from_zeros(
 
 def solve_weighted_hungarian(
     instance: TransportInstance,
-    cover_hook: CoverHook | None = None,
 ) -> tuple[TransportPlan, DualCertificate, SolveTrace]:
     """Solve a balanced transportation problem with integer marginals.
 
     Reduces the cost matrix, then repeats cover / adjust until the cover
     weight reaches the balanced total; the final flow is the plan and the
     accumulated offsets are the certificate (checked before returning).
-    Non-integer costs are scaled to integers first, which bounds the
-    iteration count; the plan and certificate come back in original units.
+    Non-integer costs are scaled to integers first, so the trace's matrices
+    and deltas are integers (`trace.scale`); the plan and certificate come
+    back in original units.
 
     One zero network serves the whole solve, its flow carried across delta
     steps.  Covers, flow values, deltas and matrices are those of a fresh
@@ -431,11 +429,6 @@ def solve_weighted_hungarian(
     this warm-started max flow, which is deterministic; where several optimal
     plans exist it may differ from the plan of a cold-start flow on the final
     matrix (`min_weight_zero_cover`), at equal cost.
-
-    `cover_hook(iteration_index, matrix, cover)` may return replacement
-    (rows, cols) for any iteration's cover - e.g. to pin a published cover in
-    a regression test - or None to keep the computed one.  A replacement must
-    still cover every zero.
     """
     supply, demand = instance.supply, instance.demand
     _integer_marginals(supply, demand)
@@ -449,16 +442,6 @@ def solve_weighted_hungarian(
     iterations: list[HungarianIteration] = []
     while True:
         cover, flow_value = _network_cover(network, reduced)
-        if cover_hook is not None:
-            override = cover_hook(len(iterations), reduced, cover)
-            if override is not None:
-                rows, cols = override
-                cover = line_cover(rows, cols, supply, demand)
-                leak = first_uncovered_zero(reduced, cover)
-                if leak is not None:
-                    raise ValueError(
-                        f"cover_hook cover leaves the zero at {leak} uncovered"
-                    )
         if flow_value == instance.total:
             iterations.append(HungarianIteration(reduced, cover, flow_value, None))
             break

@@ -18,7 +18,6 @@ from transopt import (
     TransportPlan,
     delta_adjust,
     extract_plan_from_zeros,
-    line_cover,
     min_weight_zero_cover,
     new_instance,
     reduce_matrix,
@@ -57,7 +56,7 @@ def brute_force_monge(cost) -> MongeReport:
     return MongeReport(True)
 
 
-def cold_start_solve(instance: TransportInstance, cover_hook=None) -> SolveTrace:
+def cold_start_solve(instance: TransportInstance) -> SolveTrace:
     """Reference for `solve_weighted_hungarian`: the same cover / delta loop
     from the public step functions, with a fresh zero network (max flow from
     zero) at every cover step."""
@@ -68,10 +67,6 @@ def cold_start_solve(instance: TransportInstance, cover_hook=None) -> SolveTrace
     iterations = []
     while True:
         cover, flow_value, zero_flow = min_weight_zero_cover(reduced, supply, demand)
-        if cover_hook is not None:
-            override = cover_hook(len(iterations), reduced, cover)
-            if override is not None:
-                cover = line_cover(*override, supply, demand)
         if flow_value == instance.total:
             iterations.append(HungarianIteration(reduced, cover, flow_value, None))
             break

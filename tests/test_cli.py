@@ -462,6 +462,18 @@ class TestGenerateCommand:
         assert code == 2
         assert "requires" in err
 
+    def test_factored_order_warning_is_one_stable_line(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "factored", "--x", "1", "2", "--y", "1",
+            "--supply", "1", "1", "--demand", "2",
+        )
+        assert code == 0
+        assert out == "2 1\n1\n2\n1 1\n2\n"
+        assert err == (
+            "warning: factored cost without greedy-optimality guarantee: "
+            "x is not nonincreasing\n"
+        )
+
     def test_malformed_value_exit_2(self, capsys):
         code, _, err = run(
             capsys, "generate", "sum", "--x", "one", "--y", "1",

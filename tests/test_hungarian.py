@@ -224,25 +224,13 @@ class TestSolveWeightedHungarian:
         assert verify_optimal(worked_instance, plan, cert)
 
     def test_worked_example_with_pinned_covers(self, worked_instance):
-        pinned = {0: COVER1, 1: COVER2}
-
-        def hook(iteration, matrix, computed):
-            return pinned.get(iteration)
-
-        plan, _, trace = solve_weighted_hungarian(worked_instance, cover_hook=hook)
+        plan, _, trace = solve_weighted_hungarian(worked_instance)
         assert [it.matrix for it in trace.iterations] == [REDUCED_START, REDUCED_AFTER1, REDUCED_AFTER2]
         assert [(it.cover.rows, it.cover.cols) for it in trace.iterations[:2]] == [
             COVER1,
             COVER2,
         ]
         assert plan_cost(worked_instance, plan) == 47
-
-    def test_cover_hook_must_cover_all_zeros(self, worked_instance):
-        def hook(iteration, matrix, computed):
-            return ([0], [0])
-
-        with pytest.raises(ValueError, match="uncovered"):
-            solve_weighted_hungarian(worked_instance, cover_hook=hook)
 
     def test_one_by_one_terminates_without_adjustment(self):
         inst = new_instance([[4]], [5], [5])

@@ -19,7 +19,6 @@ from helpers import balanced_instances, cold_start_solve, composition
 from transopt import (
     ZeroFlowNetwork,
     delta_adjust,
-    min_weight_zero_cover,
     new_instance,
     plan_cost,
     reduce_matrix,
@@ -67,9 +66,9 @@ def side(iteration, m):
     return frozenset(range(m)) - iteration.cover.rows, iteration.cover.cols
 
 
-def assert_matches_cold_start(instance, cover_hook=None):
-    plan, certificate, trace = solve_weighted_hungarian(instance, cover_hook)
-    reference = cold_start_solve(instance, cover_hook)
+def assert_matches_cold_start(instance):
+    plan, certificate, trace = solve_weighted_hungarian(instance)
+    reference = cold_start_solve(instance)
     assert trace.scale == reference.scale
     assert [
         (it.matrix, it.cover, it.flow_value, it.delta) for it in trace.iterations
@@ -105,39 +104,6 @@ class TestAgainstColdStart:
             trace = assert_matches_cold_start(instance)
             assert_termination_invariant(trace, instance.m)
 
-    def test_cover_hook_over_a_flow_carrying_zero_restarts_the_flow(self, monkeypatch):
-        # At iteration 0 the hook also covers the column of a zero that
-        # carries flow in a covered row; the delta step makes that zero
-        # doubly covered, so update_zeros drops a loaded arc and clears the
-        # flow.  Covers from then on must still match the cold start's.
-        clears = []
-        clear = ZeroFlowNetwork._clear_flow
-
-        def counting_clear(network):
-            clears.append(network)
-            return clear(network)
-
-        monkeypatch.setattr(ZeroFlowNetwork, "_clear_flow", counting_clear)
-
-        def hook(iteration, matrix, cover):
-            if iteration:
-                return None
-            _, _, flow = min_weight_zero_cover(matrix, instance.supply, instance.demand)
-            for i, j in sorted(flow):
-                cols = cover.cols | {j}
-                if i in cover.rows and len(cols) < instance.n:
-                    return cover.rows, cols
-            return None
-
-        rng = random.Random(77)
-        restarted = 0
-        for _ in range(12):
-            instance = seeded_instance(rng, 6, 7, 40, 30)
-            clears.clear()
-            assert_matches_cold_start(instance, hook)
-            restarted += len(clears) > 1  # the first clear builds the network
-        assert restarted > 0
-
 
 def assert_same_as_fresh(network, matrix, supply, demand):
     fresh = ZeroFlowNetwork(matrix, supply, demand)
@@ -170,8 +136,19 @@ class TestUpdateZeros:
                 network.update_zeros(matrix)
                 assert_same_as_fresh(network, matrix, supply, demand)
 
-    def test_arbitrary_zero_patterns(self):
-        # unrelated matrices drop loaded arcs too, which restarts the flow
+    def test_arbitrary_zero_patterns(self, monkeypatch):
+        # unrelated matrices drop loaded arcs too, which restarts the flow; a
+        # network calls _clear_flow once while it is built, before it has a
+        # residual, so a later call is a restart
+        restarts = []
+        clear = ZeroFlowNetwork._clear_flow
+
+        def counting_clear(network):
+            if hasattr(network, "residual"):
+                restarts.append(network)
+            clear(network)
+
+        monkeypatch.setattr(ZeroFlowNetwork, "_clear_flow", counting_clear)
         rng = random.Random(99)
         for _ in range(40):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
@@ -188,3 +165,4 @@ class TestUpdateZeros:
                 matrix = pattern()
                 network.update_zeros(matrix)
                 assert_same_as_fresh(network, matrix, supply, demand)
+        assert restarts  # 104 of these 160 updates restart
