@@ -19,7 +19,6 @@ All human-facing indices are 1-based.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import warnings
@@ -99,38 +98,46 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _data_lines(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
-    """Non-comment, non-blank lines as (lineno, [(column, token), ...])."""
+def _data_lines(text: str) -> list[tuple[int, str, list[str]]]:
+    """Non-comment, non-blank lines as (lineno, line, tokens)."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(
-            (lineno, [(match.start() + 1, match.group()) for match in _TOKEN.finditer(raw)])
-        )
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            out.append((lineno, raw, tokens))
     return out
 
 
-def _parse_rational(lineno: int, column: int, token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, column, f"malformed number {token!r}") from None
+def _columns(raw: str) -> list[int]:
+    """1-based column of each token of a line; computed only to report an error."""
+    return [match.start() + 1 for match in _TOKEN.finditer(raw)]
 
 
 def _parse_row(
-    line: tuple[int, list[tuple[int, str]]], expected: int, label: str
+    line: tuple[int, str, list[str]], expected: int, label: str
 ) -> list[Fraction]:
-    lineno, tokens = line
+    lineno, raw, tokens = line
     if len(tokens) != expected:
-        column = tokens[expected][0] if len(tokens) > expected else (
-            tokens[-1][0] + len(tokens[-1][1]) if tokens else 1
+        columns = _columns(raw)
+        column = columns[expected] if len(tokens) > expected else (
+            columns[-1] + len(tokens[-1])
         )
         raise ParseError(
             lineno, column, f"{label} has {len(tokens)} fields, expected {expected}"
         )
-    return [_parse_rational(lineno, column, token) for column, token in tokens]
+    values = []
+    for token in tokens:
+        try:
+            # Fraction(int(token)) is the fast path, for ASCII digits only,
+            # so a token is accepted exactly when Fraction(token) accepts it
+            if token.isascii() and token.isdigit():
+                values.append(Fraction(int(token)))
+            else:
+                values.append(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            column = _columns(raw)[len(values)]
+            raise ParseError(lineno, column, f"malformed number {token!r}") from None
+    return values
 
 
 def parse_instance(text: str) -> TransportInstance:
@@ -140,8 +147,8 @@ def parse_instance(text: str) -> TransportInstance:
     if not lines:
         raise ParseError(1, 1, "empty instance: expected an 'm n' header line")
     header = _parse_row(lines[0], 2, "header line")
-    lineno, tokens = lines[0]
-    for value, (column, token) in zip(header, tokens):
+    lineno, raw, tokens = lines[0]
+    for value, column, token in zip(header, _columns(raw), tokens):
         if value.denominator != 1 or value < 1:
             raise ParseError(
                 lineno, column, f"dimension must be a positive integer, got {token!r}"
@@ -149,16 +156,16 @@ def parse_instance(text: str) -> TransportInstance:
     m, n = int(header[0]), int(header[1])
     expected_lines = 1 + m + 2
     if len(lines) < expected_lines:
-        last_lineno, last_tokens = lines[-1]
         raise ParseError(
-            last_lineno,
+            lines[-1][0],
             1,
             f"incomplete instance: expected {m} cost rows, a supply line and a "
             f"demand line after the header",
         )
     if len(lines) > expected_lines:
-        extra_lineno, _ = lines[expected_lines]
-        raise ParseError(extra_lineno, 1, "unexpected extra data after the demand line")
+        raise ParseError(
+            lines[expected_lines][0], 1, "unexpected extra data after the demand line"
+        )
     cost = [_parse_row(lines[1 + k], n, f"cost row {k + 1}") for k in range(m)]
     supply = _parse_row(lines[1 + m], m, "supply line")
     demand = _parse_row(lines[2 + m], n, "demand line")
@@ -349,7 +356,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:  # size guards and method preconditions
         raise CommandError(EXIT_PRECONDITION, f"method {args.method}: {exc}") from exc
     doc = _solve_document(args, instance, plan, trace, cert)
-    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else _text(doc))
+    if args.json:
+        import json  # imported here so that the other commands do not pay for it
+
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(_text(doc))
     return EXIT_OK
 
 

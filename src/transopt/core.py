@@ -12,7 +12,6 @@ All types are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -59,6 +58,69 @@ class DegenerateBasisError(ValueError):
     """The basis graph is disconnected; hint cells are needed to span it."""
 
 
+def _value_type(cls: type) -> type:
+    """Make `cls` an immutable record of the fields its class body annotates.
+
+    Adds `__init__` (positional or keyword arguments, class-level values as
+    defaults, then `__post_init__` where the class defines one), `__eq__` and
+    `__hash__` over the tuple of fields (equal only to the same class),
+    `Name(field=value, ...)` as `__repr__`, and `__setattr__`/`__delattr__`
+    that raise AttributeError.  This stands in for
+    `dataclass(frozen=True)`, whose import and generated code cost every CLI
+    command several milliseconds.
+    """
+    fields = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    name = cls.__qualname__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for field in fields:
+            if field in values:
+                object.__setattr__(self, field, values[field])
+            elif field in defaults:
+                object.__setattr__(self, field, defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        if post_init is not None:
+            self.__post_init__()
+
+    def astuple(self):
+        return tuple(getattr(self, field) for field in fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(astuple(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{field}={getattr(self, field)!r}" for field in fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = fields
+    return cls
+
+
 def as_fraction(value: Numberish) -> Fraction:
     """Convert a number to an exact Fraction.
 
@@ -92,7 +154,7 @@ def as_matrix(rows: Sequence[Sequence[Numberish]]) -> tuple[tuple[Fraction, ...]
     return out
 
 
-@dataclass(frozen=True)
+@_value_type
 class TransportInstance:
     """A balanced transportation problem: cost matrix, supplies, demands."""
 
@@ -156,7 +218,7 @@ class TransportPlan:
         return f"TransportPlan({{{body}}})"
 
 
-@dataclass(frozen=True)
+@_value_type
 class DualCertificate:
     """Row potentials alpha and column potentials beta.
 
@@ -172,7 +234,7 @@ class DualCertificate:
         object.__setattr__(self, "beta", as_vector(self.beta))
 
 
-@dataclass(frozen=True)
+@_value_type
 class FeasibilityReport:
     """Outcome of a feasibility check; truthy iff the plan is feasible.
 
@@ -191,7 +253,7 @@ class FeasibilityReport:
         return self.violations[0] if self.violations else None
 
 
-@dataclass(frozen=True)
+@_value_type
 class OptimalityReport:
     """Outcome of a certificate check; truthy iff the certificate verifies.
 

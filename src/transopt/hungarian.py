@@ -24,7 +24,6 @@ demand[j] times; both directions are provided for cross-validation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,6 +35,7 @@ from .core import (
     TransportPlan,
     _integer_marginals,
     _scaled_to_integers,
+    _value_type,
     as_matrix,
     as_vector,
     is_feasible,
@@ -67,7 +67,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 MAX_NETWORK_LINES = 2000
 
 
-@dataclass(frozen=True)
+@_value_type
 class LineCover:
     """A weighted set of covering lines: row indices, column indices, and
     their total weight (sum of covered supplies plus covered demands)."""
@@ -108,7 +108,7 @@ def first_uncovered_zero(matrix: Matrix, cover: LineCover) -> Cell | None:
     return None
 
 
-@dataclass(frozen=True)
+@_value_type
 class HungarianIteration:
     """One pass of the cover step: the matrix it saw, the cover found, the
     max-flow value on the zero network, and the delta applied (None on the
@@ -120,7 +120,7 @@ class HungarianIteration:
     delta: Fraction | None
 
 
-@dataclass(frozen=True)
+@_value_type
 class SolveTrace:
     """Full record of a solve: every iteration plus the extracted solution.
 
@@ -438,9 +438,18 @@ def solve_weighted_hungarian(
     alpha = list(row_offsets)
     beta = list(col_offsets)
 
+    # Each delta step raises the integer flow, or keeps it while the min
+    # cut's source side strictly grows, which it can do at most m + n times
+    # in a row; so a correct loop ends within this many iterations.
+    bound = (int(instance.total) + 1) * (instance.m + instance.n + 1)
     network = ZeroFlowNetwork(reduced, supply, demand)
     iterations: list[HungarianIteration] = []
     while True:
+        if len(iterations) == bound:
+            raise RuntimeError(
+                f"internal error: no optimum after {bound} iterations, the bound "
+                "(total + 1)(m + n + 1)"
+            )
         cover, flow_value = _network_cover(network, reduced)
         if flow_value == instance.total:
             iterations.append(HungarianIteration(reduced, cover, flow_value, None))

@@ -12,7 +12,6 @@ binary rationals, so everything downstream stays exact arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -21,6 +20,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _scaled_to_integers,
+    _value_type,
     as_fraction,
     as_matrix,
     as_vector,
@@ -44,7 +44,7 @@ class MongeOrderWarning(UserWarning):
     """Inputs are not ordered as the greedy-optimality guarantee requires."""
 
 
-@dataclass(frozen=True)
+@_value_type
 class MongeReport:
     """Verdict of a Monge-condition check.
 
@@ -234,7 +234,7 @@ def convex_diff_cost(
     return tuple(tuple(as_fraction(f(a - b)) for b in ys) for a in xs)
 
 
-@dataclass(frozen=True)
+@_value_type
 class ProblemPSpec:
     """A coupling problem: choose joint probabilities with fixed marginals
     minimizing the expected convex cost f(x_i - y_j).

@@ -9,7 +9,6 @@ paths; guarded against anything bigger than desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,13 +17,14 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _integer_marginals,
+    _value_type,
     as_matrix,
 )
 
 __all__ = ["OracleResult", "enumerate_assignment", "enumerate_optimum"]
 
 
-@dataclass(frozen=True)
+@_value_type
 class OracleResult:
     optimum: Fraction
     plan: TransportPlan

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -91,9 +94,46 @@ class TestParseInstance:
         assert err.value.line == 3
         assert err.value.column == 3
 
+    @pytest.mark.parametrize(
+        "token",
+        ["7", "+5", "-0", "007", "5.0", "1e3", "1_000", "٣", "1/2", "-3/4",
+         "5/0", "abc", "0x10"],
+    )
+    def test_cost_token_parses_as_fraction(self, token):
+        text = f"1 2\n 3\t {token}\n1\n0 1\n"
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as err:
+                parse_instance(text)
+            assert (err.value.line, err.value.column) == (2, 5)
+            assert str(err.value) == f"line 2, column 5: malformed number {token!r}"
+        else:
+            inst = parse_instance(text)
+            assert inst.cost[0] == (3, expected)
+            assert type(inst.cost[0][1]) is Fraction
+
+    def test_tabs_separate_fields(self):
+        inst = parse_instance("2\t2\n1\t2\n\t3 \t 4\t\n1\t1\n1 1\n")
+        assert inst.cost == ((1, 2), (3, 4))
+        with pytest.raises(ParseError) as err:
+            parse_instance("2 2\n1\t2\n\t3\t\tx\n1 1\n1 1\n")
+        assert (err.value.line, err.value.column) == (3, 5)
+
+    def test_comment_lines_between_cost_rows(self):
+        text = "2 2\n1 2\n# between\n   # indented\n\n3 4\n1 1\n1 1\n"
+        assert parse_instance(text).cost == ((1, 2), (3, 4))
+        with pytest.raises(ParseError) as err:
+            parse_instance(text.replace("3 4", "3 z"))
+        assert (err.value.line, err.value.column) == (6, 3)
+
     def test_wrong_field_count(self):
-        with pytest.raises(ParseError, match="cost row 1 has 3 fields, expected 2"):
+        with pytest.raises(ParseError, match="cost row 1 has 3 fields, expected 2") as err:
             parse_instance("2 2\n1 2 9\n3 4\n1 1\n1 1")
+        assert (err.value.line, err.value.column) == (2, 5)
+        with pytest.raises(ParseError, match="cost row 2 has 1 fields, expected 2") as err:
+            parse_instance("2 2\n1 2\n  3\n1 1\n1 1")
+        assert (err.value.line, err.value.column) == (3, 4)
 
     def test_missing_lines(self):
         with pytest.raises(ParseError, match="incomplete"):
@@ -486,3 +526,40 @@ class TestGenerateCommand:
         code, out, _ = run(capsys, "generate", "survey", "3", "3")
         assert code == 0
         assert serialize_instance(parse_instance(out)) == out
+
+
+class TestEntryPoint:
+    """The CLI as the console script and `python -m` run it: a fresh
+    interpreter with the checkout's `src` on the path."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def python(self, *args):
+        path = os.environ.get("PYTHONPATH")
+        src = str(self.ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, env=env, cwd=self.ROOT, timeout=60
+        )
+
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import transopt.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = self.python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.decode().split())
+        assert "transopt.cli" in added
+        assert not {"dataclasses", "inspect", "json"} & added
+
+    def test_module_entry_prints_the_golden_trace(self):
+        proc = self.python(
+            "-m", "transopt.cli", "solve", "tests/data/worked_example.txt",
+            "--method", "hungarian", "--trace", "--certificate",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == GOLDEN_TRACE.read_bytes()

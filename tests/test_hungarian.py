@@ -261,6 +261,21 @@ class TestSolveWeightedHungarian:
         with pytest.raises(ValueError, match="not an integer"):
             solve_weighted_hungarian(inst)
 
+    def test_a_step_that_changes_nothing_hits_the_iteration_bound(
+        self, worked_instance, monkeypatch
+    ):
+        steps = []
+
+        def stuck(reduced, cover):
+            steps.append(cover)
+            return reduced, Fraction(1)
+
+        monkeypatch.setattr(hungarian, "delta_adjust", stuck)
+        # (total + 1)(m + n + 1) = 16 * 8 on the worked example
+        with pytest.raises(RuntimeError, match=r"no optimum after 128 iterations"):
+            solve_weighted_hungarian(worked_instance)
+        assert len(steps) == 128
+
     def test_cover_weights_monotone_and_dual_objective_strictly_increasing(self):
         rng = random.Random(17)
         for _ in range(20):
