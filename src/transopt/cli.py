@@ -340,12 +340,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.file)
     trace: SolveTrace | None = None
     cert: DualCertificate | None = None
-    if args.method == "hungarian" and any(
-        v.denominator != 1 for v in instance.supply + instance.demand
-    ):
-        raise CommandError(
-            EXIT_PRECONDITION, "method hungarian requires integer supplies and demands"
-        )
     try:
         if args.method == "hungarian":
             plan, cert, trace = solve_weighted_hungarian(instance)
@@ -398,6 +392,15 @@ def _require(condition: bool, message: str) -> None:
         raise CommandError(EXIT_INPUT_ERROR, message)
 
 
+def _survey_size(token: str) -> int:
+    try:
+        size = int(token)
+    except ValueError:
+        size = 0
+    _require(size >= 1, f"survey sizes must be positive integers, got {token!r}")
+    return size
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
     x = _rationals(args.x or [], "--x")
@@ -408,8 +411,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     try:
         if kind == "survey":
             _require(len(args.params) == 2, "survey takes exactly two sizes: m n")
-            m, n = (int(p) for p in args.params)
-            _require(m >= 1 and n >= 1, "survey sizes must be positive")
+            m, n = (_survey_size(p) for p in args.params)
             _require(
                 m * n <= MAX_SURVEY_CELLS,
                 f"survey {m} x {n} has {m * n} cells, over the limit of "

@@ -173,7 +173,8 @@ class TransportInstance:
 
 
 class TransportPlan:
-    """A sparse flow assignment; only strictly positive quantities are stored."""
+    """A sparse flow assignment; only strictly positive quantities are stored.
+    Each cell may be given once: a repeated cell raises ValueError."""
 
     __slots__ = ("_entries",)
 
@@ -183,12 +184,17 @@ class TransportPlan:
     ) -> None:
         items = entries.items() if isinstance(entries, Mapping) else entries
         clean: dict[Cell, Fraction] = {}
+        seen: set[Cell] = set()
         for (i, j), quantity in items:
             q = as_fraction(quantity)
             if q < 0:
                 raise ValueError(f"negative quantity {q} at cell ({i}, {j})")
+            cell = (int(i), int(j))
+            if cell in seen:
+                raise ValueError(f"cell {cell} is given twice")
+            seen.add(cell)
             if q > 0:
-                clean[(int(i), int(j))] = q
+                clean[cell] = q
         self._entries = MappingProxyType(clean)
 
     @property
@@ -315,7 +321,10 @@ def _integer_marginals(
     for label, values in (("supply", supply), ("demand", demand)):
         for k, v in enumerate(values):
             if v.denominator != 1:
-                raise ValueError(f"{label} {k} is not an integer: {v}")
+                raise ValueError(
+                    f"{label} {k} is not an integer: {v}; "
+                    "integer supplies and demands required"
+                )
     return [v.numerator for v in supply], [v.numerator for v in demand]
 
 

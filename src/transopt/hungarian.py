@@ -60,7 +60,9 @@ __all__ = [
     "solve_weighted_hungarian",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# Public steps return Fractions; the solver's loop runs on ints.
+Number = int | Fraction
+Matrix = tuple[tuple[Number, ...], ...]
 
 # Most rows plus columns a zero network takes: its residual is a dense
 # (m + n + 2)^2 matrix, about 32 MiB of list slots at this limit.
@@ -97,22 +99,11 @@ def line_cover(
     return LineCover(row_set, col_set, weight)
 
 
-def first_uncovered_zero(matrix: Matrix, cover: LineCover) -> Cell | None:
-    """First zero cell (row-major) not lying in a covered row or column."""
-    for i, row in enumerate(matrix):
-        if i in cover.rows:
-            continue
-        for j, value in enumerate(row):
-            if value == 0 and j not in cover.cols:
-                return (i, j)
-    return None
-
-
 @_value_type
 class HungarianIteration:
     """One pass of the cover step: the matrix it saw, the cover found, the
     max-flow value on the zero network, and the delta applied (None on the
-    terminal pass)."""
+    terminal pass).  Matrix entries and delta are ints in scaled units."""
 
     matrix: Matrix
     cover: LineCover
@@ -125,8 +116,9 @@ class SolveTrace:
     """Full record of a solve: every iteration plus the extracted solution.
 
     `scale` is the factor that made the cost matrix integer before the loop;
-    iteration matrices and deltas are in scaled units (scale is 1 for integer
-    costs), while `plan` and `certificate` are in original units.
+    iteration matrices and deltas are ints in scaled units (scale is 1 for
+    integer costs), while `plan` and `certificate` are Fractions in original
+    units.
     """
 
     scale: int
@@ -299,11 +291,17 @@ def reduce_matrix(
     together with the row and column offsets, which already form a dual-
     feasible starting certificate.
     """
-    matrix = as_matrix(cost)
-    row_offsets = tuple(min(row) for row in matrix)
+    return _reduce(as_matrix(cost))
+
+
+def _reduce(
+    rows: Sequence[Sequence[Number]],
+) -> tuple[Matrix, tuple[Number, ...], tuple[Number, ...]]:
+    """`reduce_matrix` on checked rows, in their own number type."""
+    row_offsets = tuple(min(row) for row in rows)
     rows_done = tuple(
         tuple(value - offset for value in row)
-        for row, offset in zip(matrix, row_offsets)
+        for row, offset in zip(rows, row_offsets)
     )
     col_offsets = tuple(min(col) for col in zip(*rows_done))
     reduced = tuple(
@@ -328,22 +326,22 @@ def min_weight_zero_cover(
     demand_v = as_vector(demand)
     _integer_marginals(supply_v, demand_v)
     network = ZeroFlowNetwork(matrix, supply_v, demand_v)
-    cover, flow_value = _network_cover(network, matrix)
+    cover, flow_value = _network_cover(network)
     return cover, flow_value, network.zero_cell_flow()
 
 
-def _network_cover(network: ZeroFlowNetwork, matrix: Matrix) -> tuple[LineCover, Fraction]:
-    """Max flow and min-cut cover of a network built on `matrix`, checked:
-    the cover weighs exactly the flow and leaves no zero uncovered."""
+def _network_cover(network: ZeroFlowNetwork) -> tuple[LineCover, Fraction]:
+    """Max flow and min-cut cover of the network, checked: the cover weighs
+    exactly the flow and leaves none of the network's zero cells uncovered."""
     flow_value = network.max_flow()
     cover = network.min_cut_cover()
     if cover.weight != flow_value:
         raise RuntimeError(
             f"min-cut weight {cover.weight} differs from max-flow {flow_value}"
         )
-    leak = first_uncovered_zero(matrix, cover)
-    if leak is not None:
-        raise RuntimeError(f"derived cover misses the zero at {leak}")
+    for i, j in network.zero_cells:
+        if i not in cover.rows and j not in cover.cols:
+            raise RuntimeError(f"derived cover misses the zero at {(i, j)}")
     return cover, flow_value
 
 
@@ -352,24 +350,24 @@ def delta_adjust(
 ) -> tuple[Matrix, Fraction]:
     """Subtract the minimum uncovered entry from all uncovered cells and add
     it to all doubly-covered cells; singly-covered cells are unchanged."""
-    matrix = as_matrix(reduced)
-    uncovered = [
-        matrix[i][j]
-        for i in range(len(matrix))
-        if i not in cover.rows
-        for j in range(len(matrix[0]))
-        if j not in cover.cols
-    ]
+    return _adjust(as_matrix(reduced), cover)
+
+
+def _adjust(matrix: Sequence[Sequence[Number]], cover: LineCover) -> tuple[Matrix, Number]:
+    """`delta_adjust` on checked rows, in their own number type."""
+    rows = [i for i in range(len(matrix)) if i not in cover.rows]
+    cols = [j for j in range(len(matrix[0])) if j not in cover.cols]
+    uncovered = [matrix[i][j] for i in rows for j in cols]
     if not uncovered:
         raise ValueError("every cell is covered; nothing to adjust")
     delta = min(uncovered)
     if delta <= 0:
-        leak = first_uncovered_zero(matrix, cover)
+        leak = next(((i, j) for i in rows for j in cols if matrix[i][j] == 0), None)
         if leak is not None:
             raise ValueError(f"cover leaves the zero at {leak} uncovered")
         raise ValueError(f"uncovered entry {delta} is negative")
 
-    def adjust(i: int, j: int, value: Fraction) -> Fraction:
+    def adjust(i: int, j: int, value: Number) -> Number:
         covered_row = i in cover.rows
         covered_col = j in cover.cols
         if covered_row and covered_col:
@@ -419,9 +417,9 @@ def solve_weighted_hungarian(
     Reduces the cost matrix, then repeats cover / adjust until the cover
     weight reaches the balanced total; the final flow is the plan and the
     accumulated offsets are the certificate (checked before returning).
-    Non-integer costs are scaled to integers first, so the trace's matrices
-    and deltas are integers (`trace.scale`); the plan and certificate come
-    back in original units.
+    Non-integer costs are scaled to integers first (`trace.scale`) and the
+    loop runs on plain ints, so the trace's matrices and deltas are `int`s;
+    the plan and certificate come back as Fractions in original units.
 
     One zero network serves the whole solve, its flow carried across delta
     steps.  Covers, flow values, deltas and matrices are those of a fresh
@@ -434,7 +432,7 @@ def solve_weighted_hungarian(
     _integer_marginals(supply, demand)
 
     scale, scaled_cost = _scaled_to_integers(instance.cost)
-    reduced, row_offsets, col_offsets = reduce_matrix(scaled_cost)
+    reduced, row_offsets, col_offsets = _reduce(scaled_cost)
     alpha = list(row_offsets)
     beta = list(col_offsets)
 
@@ -450,11 +448,11 @@ def solve_weighted_hungarian(
                 f"internal error: no optimum after {bound} iterations, the bound "
                 "(total + 1)(m + n + 1)"
             )
-        cover, flow_value = _network_cover(network, reduced)
+        cover, flow_value = _network_cover(network)
         if flow_value == instance.total:
             iterations.append(HungarianIteration(reduced, cover, flow_value, None))
             break
-        adjusted, delta = delta_adjust(reduced, cover)
+        adjusted, delta = _adjust(reduced, cover)
         iterations.append(HungarianIteration(reduced, cover, flow_value, delta))
         for i in range(instance.m):
             if i not in cover.rows:
@@ -464,10 +462,12 @@ def solve_weighted_hungarian(
         reduced = adjusted
         network.update_zeros(reduced)
 
-    plan = extract_plan_from_zeros(reduced, supply, demand, network.zero_cell_flow())
+    # verify_optimal checks that the plan is feasible and, by its slack
+    # check, that it ships only on zeros of the final matrix
+    plan = TransportPlan(network.zero_cell_flow())
     certificate = DualCertificate(
-        tuple(a / scale for a in alpha),
-        tuple(b / scale for b in beta),
+        tuple(Fraction(a, scale) for a in alpha),
+        tuple(Fraction(b, scale) for b in beta),
     )
     report = verify_optimal(instance, plan, certificate)
     if not report:

@@ -433,6 +433,16 @@ class TestGenerateCommand:
         assert code == 2
         assert "unbalanced" in err
 
+    @pytest.mark.parametrize(
+        "sizes, bad",
+        [(("a", "3"), "a"), (("3", "2.5"), "2.5"), (("0", "3"), "0"), (("3", "-1"), "-1")],
+    )
+    def test_survey_malformed_size_exit_2(self, capsys, sizes, bad):
+        code, out, err = run(capsys, "generate", "survey", *sizes)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: survey sizes must be positive integers, got {bad!r}\n"
+
     def test_survey_size_guard_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SURVEY_CELLS", 6)
         code, out, err = run(capsys, "generate", "survey", "2", "4")

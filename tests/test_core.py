@@ -87,6 +87,19 @@ class TestTransportPlan:
         with pytest.raises(ValueError, match="negative"):
             TransportPlan({(0, 0): -1})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [((0, 0), 1), ((0, 0), 2)],
+            [((0, 0), 0), ((0, 0), 2)],
+            [((0, 0), 1), (("0", 0), 1)],
+            {(0, 0): 1, ("0", 0): 1},
+        ],
+    )
+    def test_repeated_cell_rejected(self, entries):
+        with pytest.raises(ValueError, match=r"cell \(0, 0\) is given twice"):
+            TransportPlan(entries)
+
     def test_entries_are_read_only(self):
         plan = TransportPlan({(0, 0): 1})
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,9 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
+from transopt.cli import parse_instance
+
+DATA = Path(__file__).parent / "data"
 
 # successive reduced matrices of the worked example: after the initial
 # reduction, then after each adjustment step
@@ -54,6 +59,18 @@ class TestReduceMatrix:
         assert reduced == ((0,),)
         assert row_offsets == (5,)
         assert col_offsets == (0,)
+
+    def test_public_steps_return_fractions_on_int_input(self):
+        reduced, row_offsets, col_offsets = reduce_matrix([[1, 2], [3, 4]])
+        assert reduced == ((0, 0), (0, 0))
+        assert (row_offsets, col_offsets) == ((1, 3), (0, 1))
+        for value in [*chain.from_iterable(reduced), *row_offsets, *col_offsets]:
+            assert type(value) is Fraction
+        cover = line_cover([0], [0], [1, 1], [1, 1])
+        adjusted, delta = delta_adjust([[0, 1], [2, 3]], cover)
+        assert (adjusted, delta) == (((3, 1), (2, 0)), 3)
+        for value in [*chain.from_iterable(adjusted), delta]:
+            assert type(value) is Fraction
 
     def test_offsets_are_dual_feasible(self):
         rng = random.Random(5)
@@ -270,11 +287,48 @@ class TestSolveWeightedHungarian:
             steps.append(cover)
             return reduced, Fraction(1)
 
-        monkeypatch.setattr(hungarian, "delta_adjust", stuck)
+        monkeypatch.setattr(hungarian, "_adjust", stuck)
         # (total + 1)(m + n + 1) = 16 * 8 on the worked example
         with pytest.raises(RuntimeError, match=r"no optimum after 128 iterations"):
             solve_weighted_hungarian(worked_instance)
         assert len(steps) == 128
+
+    @pytest.mark.parametrize(
+        "name, alpha, beta",
+        [
+            ("rational.txt", (Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 6))),
+            ("worked_example.txt", (3, 5, 5), (-4, -1, 0, -2)),
+        ],
+    )
+    def test_loop_runs_on_ints_and_certificate_is_fractions(self, name, alpha, beta):
+        inst = parse_instance((DATA / name).read_text())
+        _, cert, trace = solve_weighted_hungarian(inst)
+        for it in trace.iterations:
+            assert all(type(v) is int for row in it.matrix for v in row)
+            assert it.delta is None or type(it.delta) is int
+        assert all(type(v) is Fraction for v in cert.alpha + cert.beta)
+        assert (cert.alpha, cert.beta) == (alpha, beta)
+
+    def test_solve_validates_once_and_verifies_once(self, worked_instance, monkeypatch):
+        names = ("as_matrix", "new_instance", "extract_plan_from_zeros", "verify_optimal")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(hungarian, name, counted(name, getattr(hungarian, name)))
+        solve_weighted_hungarian(worked_instance)
+        assert calls == {
+            "as_matrix": 0,
+            "new_instance": 0,
+            "extract_plan_from_zeros": 0,
+            "verify_optimal": 1,
+        }
 
     def test_cover_weights_monotone_and_dual_objective_strictly_increasing(self):
         rng = random.Random(17)
