@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     CyclicBasisError,
     DualCertificate,
+    OptimalityReport,
     TransportInstance,
     TransportPlan,
     _spanning_forest,
@@ -188,13 +189,15 @@ def serialize_instance(instance: TransportInstance) -> str:
 def _certificate_json(
     instance: TransportInstance, plan: TransportPlan, cert: DualCertificate | None
 ) -> dict:
-    """Check the plan against the solver's duals or, for a plan that came
-    without any, against duals computed from its basis.
+    """The certificate block: the solver's duals, which
+    `solve_weighted_hungarian` verified before returning, or, for a plan that
+    came without any, duals computed from its basis and checked here.
 
     Degenerate plans get the lexicographically first zero-flow cells that
     connect the support graph into a spanning tree.
     """
     hints: list[tuple[int, int]] = []
+    report = OptimalityReport(True)
     if cert is None:
         m, n = instance.m, instance.n
         row_major = ((i, j) for i in range(m) for j in range(n))
@@ -207,7 +210,7 @@ def _certificate_json(
                 "available": False,
                 "reason": "plan support contains a cycle; not a basic solution",
             }
-    report = verify_optimal(instance, plan, cert)
+        report = verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
         "alpha": [str(v) for v in cert.alpha],
@@ -485,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("adjacent", "exhaustive"),
         default="exhaustive",
         help="exhaustive (default): report the first violated quadruple "
-        "(i, j, r, s) in scan order, O(m^2 n); adjacent: test consecutive rows "
-        "and columns only, O(mn); both give the same verdict",
+        "(i, j, r, s) in scan order, O(mn) if none, O(m^2 n) at most; "
+        "adjacent: test consecutive rows and columns only, O(mn); both give "
+        "the same verdict",
     )
     monge.set_defaults(handler=_cmd_check_monge)
 

@@ -1,16 +1,20 @@
 """Weighted Hungarian method for balanced transportation problems.
 
-The loop alternates two steps on a reduced cost matrix: cover all zeros with
-rows and columns of minimum total weight (row i weighs supply[i], column j
-weighs demand[j]), then, while the cover weight is below the balanced total,
-subtract the minimum uncovered entry from uncovered cells and add it to
-doubly-covered ones.  The min-weight cover is computed as a minimum cut of a
-flow network whose arcs are the zero cells, which also hands us a maximum
-flow; when that flow saturates every marginal it *is* a feasible plan
-supported on zeros, and the accumulated reductions are a dual certificate.
-A solve builds one network and, after each delta step, moves it to the new
-zeros with `ZeroFlowNetwork.update_zeros`, so each max flow resumes from the
-previous one instead of starting from zero.
+The loop alternates two steps: cover all zeros of the reduced cost matrix
+with rows and columns of minimum total weight (row i weighs supply[i], column
+j weighs demand[j]), then, while the cover weight is below the balanced
+total, take the minimum uncovered entry delta, subtract it from uncovered
+cells and add it to doubly-covered ones.  The min-weight cover is computed as
+a minimum cut of a flow network whose arcs are the zero cells, which also
+hands us a maximum flow; when that flow saturates every marginal it *is* a
+feasible plan supported on zeros, and the duals are a certificate.
+
+The loop's only state is those duals, alpha and beta: the reduced matrix is
+by definition cost[i][j] - alpha[i] - beta[j] (the primal-dual method of
+Ford and Fulkerson), so a delta step raises alpha on uncovered rows, lowers
+beta on covered columns, and hands the network its new zero cells with
+`ZeroFlowNetwork._set_zeros`.  One network serves a solve, so each max flow
+resumes from the previous one instead of starting from zero.
 
 Extraction always uses the max flow.  The textbook alternative (repeatedly
 picking rows/columns with a single zero) is not used: it can deadlock on ties,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -103,12 +108,39 @@ def line_cover(
 class HungarianIteration:
     """One pass of the cover step: the matrix it saw, the cover found, the
     max-flow value on the zero network, and the delta applied (None on the
-    terminal pass).  Matrix entries and delta are ints in scaled units."""
+    terminal pass).  Matrix entries and delta are ints in scaled units.
+
+    An iteration the solver records stores the scaled cost, which all its
+    iterations share, and its own duals instead of a matrix: O(m + n) values.
+    Its `matrix` is derived from them on every read.
+    """
 
     matrix: Matrix
     cover: LineCover
     flow_value: Fraction
     delta: Fraction | None
+
+    def __getattr__(self, name: str):
+        # only reached for attributes the instance lacks, such as the matrix
+        # of an iteration made by `_recorded`
+        if name == "matrix" and "_duals" in self.__dict__:
+            return _reduced(*self._duals)
+        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+
+
+def _recorded(
+    duals: tuple[Sequence[Sequence[int]], tuple[int, ...], tuple[int, ...]],
+    cover: LineCover,
+    flow_value: Fraction,
+    delta: int | None,
+) -> HungarianIteration:
+    """The iteration whose matrix is `_reduced(*duals)`, derived on read."""
+    iteration = object.__new__(HungarianIteration)
+    for name, value in (
+        ("_duals", duals), ("cover", cover), ("flow_value", flow_value), ("delta", delta)
+    ):
+        object.__setattr__(iteration, name, value)
+    return iteration
 
 
 @_value_type
@@ -184,7 +216,19 @@ class ZeroFlowNetwork:
         return self.residual[1 + self.m + j][1 + i]
 
     def update_zeros(self, reduced: Matrix) -> None:
-        """Make the zero arcs those of `reduced`, keeping the current flow.
+        """Make the zero arcs those of `reduced`, keeping the current flow."""
+        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
+            raise ValueError("matrix shape does not match supply/demand lengths")
+        self._set_zeros([
+            (i, j)
+            for i, row in enumerate(reduced)
+            for j, value in enumerate(row)
+            if value == 0
+        ])
+
+    def _set_zeros(self, zero_cells: list[Cell]) -> None:
+        """Make `zero_cells`, in row-major order, the zero arcs, keeping the
+        current flow.
 
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
@@ -192,14 +236,6 @@ class ZeroFlowNetwork:
         survives; if a dropped arc does carry flow (an arbitrary new matrix),
         the flow restarts from zero.
         """
-        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
-            raise ValueError("matrix shape does not match supply/demand lengths")
-        zero_cells = [
-            (i, j)
-            for i, row in enumerate(reduced)
-            for j, value in enumerate(row)
-            if value == 0
-        ]
         dropped = set(self.zero_cells).difference(zero_cells)
         if any(self._arc_flow(cell) > 0 for cell in dropped):
             self._clear_flow()
@@ -291,24 +327,28 @@ def reduce_matrix(
     together with the row and column offsets, which already form a dual-
     feasible starting certificate.
     """
-    return _reduce(as_matrix(cost))
+    matrix = as_matrix(cost)
+    alpha, beta = _start_duals(matrix)
+    return _reduced(matrix, alpha, beta), alpha, beta
 
 
-def _reduce(
-    rows: Sequence[Sequence[Number]],
-) -> tuple[Matrix, tuple[Number, ...], tuple[Number, ...]]:
-    """`reduce_matrix` on checked rows, in their own number type."""
-    row_offsets = tuple(min(row) for row in rows)
-    rows_done = tuple(
-        tuple(value - offset for value in row)
-        for row, offset in zip(rows, row_offsets)
+def _start_duals(
+    cost: Sequence[Sequence[Number]],
+) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
+    """The row minima alpha, then the column minima beta of cost - alpha,
+    in the cost's own number type."""
+    alpha = tuple(min(row) for row in cost)
+    beta = tuple(min(c - a for c, a in zip(col, alpha)) for col in zip(*cost))
+    return alpha, beta
+
+
+def _reduced(
+    cost: Sequence[Sequence[Number]], alpha: Sequence[Number], beta: Sequence[Number]
+) -> Matrix:
+    """The reduced matrix cost[i][j] - alpha[i] - beta[j]."""
+    return tuple(
+        tuple(c - a - b for c, b in zip(row, beta)) for row, a in zip(cost, alpha)
     )
-    col_offsets = tuple(min(col) for col in zip(*rows_done))
-    reduced = tuple(
-        tuple(value - offset for value, offset in zip(row, col_offsets))
-        for row in rows_done
-    )
-    return reduced, row_offsets, col_offsets
 
 
 def min_weight_zero_cover(
@@ -350,37 +390,57 @@ def delta_adjust(
 ) -> tuple[Matrix, Fraction]:
     """Subtract the minimum uncovered entry from all uncovered cells and add
     it to all doubly-covered cells; singly-covered cells are unchanged."""
-    return _adjust(as_matrix(reduced), cover)
+    matrix = as_matrix(reduced)
+    alpha, beta = [0] * len(matrix), [0] * len(matrix[0])
+    delta, _ = _delta_step(matrix, alpha, beta, cover, [])
+    return _reduced(matrix, alpha, beta), delta
 
 
-def _adjust(matrix: Sequence[Sequence[Number]], cover: LineCover) -> tuple[Matrix, Number]:
-    """`delta_adjust` on checked rows, in their own number type."""
-    rows = [i for i in range(len(matrix)) if i not in cover.rows]
-    cols = [j for j in range(len(matrix[0])) if j not in cover.cols]
-    uncovered = [matrix[i][j] for i in rows for j in cols]
-    if not uncovered:
+def _delta_step(
+    cost: Sequence[Sequence[Number]],
+    alpha: list[Number],
+    beta: list[Number],
+    cover: LineCover,
+    zeros: list[Cell],
+) -> tuple[Number, list[Cell]]:
+    """One delta step on the duals, in place.
+
+    delta is the least reduced cost cost[i][j] - alpha[i] - beta[j] over
+    uncovered rows x uncovered columns.  alpha rises by it on uncovered rows
+    and beta falls by it on covered columns, so uncovered cells drop by delta
+    and doubly-covered cells rise by it.  Returns delta and the zero cells
+    after the step in row-major order, given `zeros`, those before it: zeros
+    vanish only from doubly-covered cells and appear only in uncovered cells
+    whose reduced cost was delta.
+    """
+    rows = [i for i in range(len(alpha)) if i not in cover.rows]
+    cols = [j for j in range(len(beta)) if j not in cover.cols]
+    if not rows or not cols:
         raise ValueError("every cell is covered; nothing to adjust")
-    delta = min(uncovered)
+    col_beta = [(j, beta[j]) for j in cols]
+    lows = [min([cost[i][j] - b for j, b in col_beta]) - alpha[i] for i in rows]
+    delta = min(lows)
     if delta <= 0:
-        leak = next(((i, j) for i in rows for j in cols if matrix[i][j] == 0), None)
+        leak = next(
+            ((i, j) for i in rows for j, b in col_beta if cost[i][j] - alpha[i] - b == 0),
+            None,
+        )
         if leak is not None:
             raise ValueError(f"cover leaves the zero at {leak} uncovered")
         raise ValueError(f"uncovered entry {delta} is negative")
-
-    def adjust(i: int, j: int, value: Number) -> Number:
-        covered_row = i in cover.rows
-        covered_col = j in cover.cols
-        if covered_row and covered_col:
-            return value + delta
-        if covered_row or covered_col:
-            return value
-        return value - delta
-
-    adjusted = tuple(
-        tuple(adjust(i, j, value) for j, value in enumerate(row))
-        for i, row in enumerate(matrix)
-    )
-    return adjusted, delta
+    fresh = [
+        (i, j)
+        for i, low in zip(rows, lows)
+        if low == delta
+        for j, b in col_beta
+        if cost[i][j] - alpha[i] - b == delta
+    ]
+    for i in rows:
+        alpha[i] += delta
+    for j in cover.cols:
+        beta[j] -= delta
+    kept = [(i, j) for i, j in zeros if i not in cover.rows or j not in cover.cols]
+    return delta, sorted(kept + fresh)
 
 
 def extract_plan_from_zeros(
@@ -409,14 +469,48 @@ def extract_plan_from_zeros(
     return plan
 
 
+def _scaled_objective(
+    alpha: Sequence[int], beta: Sequence[int], supplies: Sequence[int], demands: Sequence[int]
+) -> int:
+    """The dual objective in scaled units: sum alpha * supply + sum beta * demand."""
+    return sum(map(mul, alpha, supplies)) + sum(map(mul, beta, demands))
+
+
+def _check_step(
+    step: int,
+    gain: int,
+    expected: Fraction,
+    flow: Fraction,
+    side: frozenset[int],
+    network: ZeroFlowNetwork,
+) -> None:
+    """Raise unless the delta step of iteration `step` raised the scaled dual
+    objective by exactly delta * (total - cover weight), and then raised the
+    max flow from `flow` or kept it and strictly grew the min cut's source
+    side from `side`; the second rule is what bounds the loop."""
+    if gain != expected:
+        raise RuntimeError(
+            f"internal error: iteration {step}: the delta step raised the dual "
+            f"objective by {gain}, not delta * (total - cover weight) = {expected}"
+        )
+    after = network.max_flow()
+    if after < flow or (after == flow and not side < network._reached):
+        raise RuntimeError(
+            f"internal error: iteration {step}: the delta step took the max flow "
+            f"from {flow} to {after} and the min cut's source side from "
+            f"{len(side)} to {len(network._reached)} nodes, without growing either"
+        )
+
+
 def solve_weighted_hungarian(
     instance: TransportInstance,
 ) -> tuple[TransportPlan, DualCertificate, SolveTrace]:
     """Solve a balanced transportation problem with integer marginals.
 
-    Reduces the cost matrix, then repeats cover / adjust until the cover
+    Reduces the cost matrix, then repeats cover / delta step until the cover
     weight reaches the balanced total; the final flow is the plan and the
-    accumulated offsets are the certificate (checked before returning).
+    duals are the certificate (checked before returning).  Every delta step
+    is checked too, by `_check_step`, and a failed check raises RuntimeError.
     Non-integer costs are scaled to integers first (`trace.scale`) and the
     loop runs on plain ints, so the trace's matrices and deltas are `int`s;
     the plan and certificate come back as Fractions in original units.
@@ -429,18 +523,18 @@ def solve_weighted_hungarian(
     matrix (`min_weight_zero_cover`), at equal cost.
     """
     supply, demand = instance.supply, instance.demand
-    _integer_marginals(supply, demand)
+    supplies, demands = _integer_marginals(supply, demand)
 
     scale, scaled_cost = _scaled_to_integers(instance.cost)
-    reduced, row_offsets, col_offsets = _reduce(scaled_cost)
-    alpha = list(row_offsets)
-    beta = list(col_offsets)
+    alpha, beta = map(list, _start_duals(scaled_cost))
 
     # Each delta step raises the integer flow, or keeps it while the min
     # cut's source side strictly grows, which it can do at most m + n times
-    # in a row; so a correct loop ends within this many iterations.
+    # in a row; so a correct loop ends within this many iterations.  Since
+    # `_check_step` holds every step to that, the bound is a second guard.
     bound = (int(instance.total) + 1) * (instance.m + instance.n + 1)
-    network = ZeroFlowNetwork(reduced, supply, demand)
+    network = ZeroFlowNetwork(_reduced(scaled_cost, alpha, beta), supply, demand)
+    objective = _scaled_objective(alpha, beta, supplies, demands)
     iterations: list[HungarianIteration] = []
     while True:
         if len(iterations) == bound:
@@ -449,18 +543,23 @@ def solve_weighted_hungarian(
                 "(total + 1)(m + n + 1)"
             )
         cover, flow_value = _network_cover(network)
+        duals = (scaled_cost, tuple(alpha), tuple(beta))
         if flow_value == instance.total:
-            iterations.append(HungarianIteration(reduced, cover, flow_value, None))
+            iterations.append(_recorded(duals, cover, flow_value, None))
             break
-        adjusted, delta = _adjust(reduced, cover)
-        iterations.append(HungarianIteration(reduced, cover, flow_value, delta))
-        for i in range(instance.m):
-            if i not in cover.rows:
-                alpha[i] += delta
-        for j in cover.cols:
-            beta[j] -= delta
-        reduced = adjusted
-        network.update_zeros(reduced)
+        side = network._reached
+        step = len(iterations) + 1
+        try:
+            delta, zeros = _delta_step(scaled_cost, alpha, beta, cover, network.zero_cells)
+        except ValueError as exc:
+            raise RuntimeError(f"internal error: iteration {step}: {exc}") from exc
+        iterations.append(_recorded(duals, cover, flow_value, delta))
+        network._set_zeros(zeros)
+        before, objective = objective, _scaled_objective(alpha, beta, supplies, demands)
+        _check_step(
+            step, objective - before, delta * (instance.total - cover.weight),
+            flow_value, side, network,
+        )
 
     # verify_optimal checks that the plan is feasible and, by its slack
     # check, that it ships only on zeros of the final matrix

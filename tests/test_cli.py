@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from transopt import BalanceError, TransportPlan, cli, hungarian
+from transopt import BalanceError, TransportPlan, cli, hungarian, verify_optimal
 from transopt.cli import (
     ParseError,
     format_rational,
@@ -192,6 +192,21 @@ class TestSolveCommand:
         assert code == 0
         assert "total cost = 47" in out
         assert "verified optimal: yes" in out
+
+    @pytest.mark.parametrize("method, path", [("hungarian", WORKED), ("nw", WORKED), ("oracle", TINY)])
+    def test_certificate_is_checked_once(self, capsys, monkeypatch, method, path):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify_optimal(*args)
+
+        monkeypatch.setattr(hungarian, "verify_optimal", counted)
+        monkeypatch.setattr(cli, "verify_optimal", counted)
+        code, out, _ = run(capsys, "solve", str(path), "--method", method, "--certificate")
+        assert code == 0
+        assert "verified optimal: " in out
+        assert len(calls) == 1
 
     def test_hungarian_golden_trace_bytes(self, capsys):
         code, out, _ = run(

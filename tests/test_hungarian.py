@@ -1,13 +1,16 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from helpers import random_instance
+from helpers import composition, random_instance
 from transopt import hungarian
 from transopt import (
+    HungarianIteration,
     TransportPlan,
     aggregate_assignment_solution,
     delta_adjust,
@@ -283,15 +286,77 @@ class TestSolveWeightedHungarian:
     ):
         steps = []
 
-        def stuck(reduced, cover):
+        def stuck(cost, alpha, beta, cover, zeros):
             steps.append(cover)
-            return reduced, Fraction(1)
+            return 1, zeros
 
-        monkeypatch.setattr(hungarian, "_adjust", stuck)
-        # (total + 1)(m + n + 1) = 16 * 8 on the worked example
+        monkeypatch.setattr(hungarian, "_delta_step", stuck)
+        # the per-step check stops such a step at once ...
+        with pytest.raises(RuntimeError, match=r"iteration 1: the delta step raised the dual "
+                           r"objective by 0, not delta \* \(total - cover weight\) = 3"):
+            solve_weighted_hungarian(worked_instance)
+        # ... and without it the iteration bound still does, after
+        # (total + 1)(m + n + 1) = 16 * 8 iterations on the worked example
+        steps.clear()
+        monkeypatch.setattr(hungarian, "_check_step", lambda *args: None)
         with pytest.raises(RuntimeError, match=r"no optimum after 128 iterations"):
             solve_weighted_hungarian(worked_instance)
         assert len(steps) == 128
+
+    def test_a_step_that_raises_beta_fails_the_dual_objective_check(
+        self, worked_instance, monkeypatch
+    ):
+        step = hungarian._delta_step
+
+        def beta_up(cost, alpha, beta, cover, zeros):
+            delta, zeros = step(cost, alpha, beta, cover, zeros)
+            for j in cover.cols:
+                beta[j] += 2 * delta  # net: beta[j] += delta
+            return delta, zeros
+
+        monkeypatch.setattr(hungarian, "_delta_step", beta_up)
+        # first step: delta 2, covered demand 3 + 2 + 4, so the objective
+        # rises by 2 * (15 - 12) + 2 * 2 * 9 instead of 2 * (15 - 12)
+        with pytest.raises(
+            RuntimeError,
+            match=r"iteration 1: the delta step raised the dual objective by 42, "
+            r"not delta \* \(total - cover weight\) = 6",
+        ):
+            solve_weighted_hungarian(worked_instance)
+
+    def test_a_step_that_drops_a_cover_line_is_an_internal_error(
+        self, worked_instance, monkeypatch
+    ):
+        step = hungarian._delta_step
+
+        def drop_last_column(cost, alpha, beta, cover, zeros):
+            cols = cover.cols - {max(cover.cols)}
+            return step(cost, alpha, beta, hungarian.LineCover(cover.rows, cols, cover.weight), zeros)
+
+        monkeypatch.setattr(hungarian, "_delta_step", drop_last_column)
+        # COVER1 without column 3 leaves the zero at (2, 3) uncovered
+        with pytest.raises(
+            RuntimeError, match=r"iteration 1: cover leaves the zero at \(2, 3\) uncovered"
+        ):
+            solve_weighted_hungarian(worked_instance)
+
+    def test_a_step_that_keeps_the_old_zeros_fails_the_progress_check(
+        self, worked_instance, monkeypatch
+    ):
+        step = hungarian._delta_step
+
+        def stale(cost, alpha, beta, cover, zeros):
+            delta, _ = step(cost, alpha, beta, cover, zeros)
+            return delta, zeros
+
+        monkeypatch.setattr(hungarian, "_delta_step", stale)
+        # the source side: the source node, rows 1 and 2, columns 0, 1 and 3
+        with pytest.raises(
+            RuntimeError,
+            match=r"iteration 1: the delta step took the max flow from 12 to 12 and "
+            r"the min cut's source side from 6 to 6 nodes, without growing either",
+        ):
+            solve_weighted_hungarian(worked_instance)
 
     @pytest.mark.parametrize(
         "name, alpha, beta",
@@ -375,6 +440,41 @@ class TestSolveWeightedHungarian:
                 assert q.denominator == 1
             for v in cert.alpha + cert.beta:
                 assert v.denominator == 1
+
+
+class TestDerivedTrace:
+    """The solver's iterations keep their duals and derive `matrix` on read;
+    `test_warm_start.py` compares every derived matrix with the cold start's."""
+
+    def test_a_derived_iteration_is_its_public_construction(self, worked_instance):
+        _, _, trace = solve_weighted_hungarian(worked_instance)
+        for it in trace.iterations:
+            assert "matrix" not in vars(it)
+            public = HungarianIteration(it.matrix, it.cover, it.flow_value, it.delta)
+            assert it == public and public == it
+            assert hash(it) == hash(public)
+            assert repr(it) == repr(public)
+        with pytest.raises(AttributeError, match="no attribute 'unknown'"):
+            trace.iterations[0].unknown
+
+    def test_a_60x60_solve_keeps_under_one_mib_until_matrices_are_read(self):
+        # 60x60, costs 0..1000: 84 iterations.  A trace that stores one m x n
+        # matrix per iteration keeps 6.2 MiB alive on it (CPython 3.11).
+        rng = random.Random(6060)
+        cost = [[rng.randint(0, 1000) for _ in range(60)] for _ in range(60)]
+        instance = new_instance(cost, composition(rng, 600, 60), composition(rng, 600, 60))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, _, trace = solve_weighted_hungarian(instance)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterations) == 84
+        assert kept < 2**20
+        assert trace.iterations[0].matrix == reduce_matrix(instance.cost)[0]
 
 
 class TestExtractPlan:

@@ -29,6 +29,7 @@ from transopt import (
     problem_p_instance,
     sum_cost,
 )
+from transopt import nwcorner
 
 
 class TestNorthWestCorner:
@@ -134,6 +135,38 @@ class TestCheckMonge:
             assert report == brute_force_monge(cost)
             violated += not report.holds
         assert 0 < violated < 600
+
+    def test_exhaustive_scans_only_after_an_adjacent_violation(self, monkeypatch):
+        scans = []
+        scan = nwcorner._first_violation
+
+        def counted(rows):
+            scans.append(rows)
+            return scan(rows)
+
+        monkeypatch.setattr(nwcorner, "_first_violation", counted)
+        rng = random.Random(71)
+        kinds = {"monge": 0, "perturbed": 0, "random": 0}
+        for k in range(90):
+            kind = sorted(kinds)[k % 3]
+            m, n = rng.randint(2, 9), rng.randint(2, 9)
+            if kind == "random":
+                cost = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            else:
+                f = CONVEX_SHAPES[rng.choice(sorted(CONVEX_SHAPES))]
+                x, y = sorted_rationals(rng, m), sorted_rationals(rng, n)
+                cost = [list(row) for row in convex_diff_cost(x, y, f)]
+                if kind == "perturbed":
+                    cost[rng.randrange(m)][rng.randrange(n)] -= Fraction(rng.randint(1, 8), 2)
+            scans.clear()
+            report = check_monge(cost, "exhaustive")
+            assert report == brute_force_monge(cost)
+            adjacent = check_monge(cost, "adjacent")
+            assert len(scans) == (0 if adjacent.holds else 1)
+            if not report.holds:
+                assert report.witness[0] <= adjacent.witness[0]
+            kinds[kind] += not report.holds
+        assert kinds["monge"] == 0 and 0 < kinds["perturbed"] < 30 and kinds["random"] > 0
 
     @pytest.mark.parametrize(
         "cost, witness",
