@@ -63,9 +63,10 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
-# Largest cost matrix `generate survey` builds, checked before anything is
-# allocated: the matrix is dense, so m * n bounds its memory.
-MAX_SURVEY_CELLS = 1_000_000
+# Largest cost matrix `generate survey` builds or `parse_instance` reads,
+# checked before any cost is converted: the matrix is dense, so m * n bounds
+# its memory.
+MAX_CELLS = 1_000_000
 
 _TOKEN = re.compile(r"\S+")
 
@@ -166,6 +167,10 @@ def parse_instance(text: str) -> TransportInstance:
     if len(lines) > expected_lines:
         raise ParseError(
             lines[expected_lines][0], 1, "unexpected extra data after the demand line"
+        )
+    if m * n > MAX_CELLS:
+        raise ParseError(
+            lineno, 1, f"instance {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}"
         )
     cost = [_parse_row(lines[1 + k], n, f"cost row {k + 1}") for k in range(m)]
     supply = _parse_row(lines[1 + m], m, "supply line")
@@ -416,9 +421,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             _require(len(args.params) == 2, "survey takes exactly two sizes: m n")
             m, n = (_survey_size(p) for p in args.params)
             _require(
-                m * n <= MAX_SURVEY_CELLS,
-                f"survey {m} x {n} has {m * n} cells, over the limit of "
-                f"{MAX_SURVEY_CELLS}",
+                m * n <= MAX_CELLS,
+                f"survey {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}",
             )
             cost = [[abs(i - j) for j in range(n)] for i in range(m)]
             supply = supply or [Fraction(1)] * m

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -424,12 +425,16 @@ def verify_optimal(
 
 def dual_objective(instance: TransportInstance, cert: DualCertificate) -> Fraction:
     """Value of the dual objective: sum alpha_i * supply_i + sum beta_j * demand_j."""
-    total = Fraction(0)
-    for a, s in zip(cert.alpha, instance.supply):
-        total += a * s
-    for b, d in zip(cert.beta, instance.demand):
-        total += b * d
-    return total
+    return _dual_objective(cert.alpha, cert.beta, instance.supply, instance.demand)
+
+
+def _dual_objective(
+    alpha: Sequence[int | Fraction], beta: Sequence[int | Fraction],
+    supply: Sequence[int | Fraction], demand: Sequence[int | Fraction],
+) -> int | Fraction:
+    """sum alpha * supply + sum beta * demand, in the inputs' own number type
+    (Fractions, or the Hungarian loop's scaled ints)."""
+    return sum(map(mul, alpha, supply)) + sum(map(mul, beta, demand))
 
 
 def compute_duals_from_plan(

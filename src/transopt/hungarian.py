@@ -27,9 +27,8 @@ demand[j] times; both directions are provided for cross-validation.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _dual_objective,
     _integer_marginals,
     _scaled_to_integers,
     _value_type,
@@ -469,13 +469,6 @@ def extract_plan_from_zeros(
     return plan
 
 
-def _scaled_objective(
-    alpha: Sequence[int], beta: Sequence[int], supplies: Sequence[int], demands: Sequence[int]
-) -> int:
-    """The dual objective in scaled units: sum alpha * supply + sum beta * demand."""
-    return sum(map(mul, alpha, supplies)) + sum(map(mul, beta, demands))
-
-
 def _check_step(
     step: int,
     gain: int,
@@ -534,7 +527,7 @@ def solve_weighted_hungarian(
     # `_check_step` holds every step to that, the bound is a second guard.
     bound = (int(instance.total) + 1) * (instance.m + instance.n + 1)
     network = ZeroFlowNetwork(_reduced(scaled_cost, alpha, beta), supply, demand)
-    objective = _scaled_objective(alpha, beta, supplies, demands)
+    objective = _dual_objective(alpha, beta, supplies, demands)
     iterations: list[HungarianIteration] = []
     while True:
         if len(iterations) == bound:
@@ -555,7 +548,7 @@ def solve_weighted_hungarian(
             raise RuntimeError(f"internal error: iteration {step}: {exc}") from exc
         iterations.append(_recorded(duals, cover, flow_value, delta))
         network._set_zeros(zeros)
-        before, objective = objective, _scaled_objective(alpha, beta, supplies, demands)
+        before, objective = objective, _dual_objective(alpha, beta, supplies, demands)
         _check_step(
             step, objective - before, delta * (instance.total - cover.weight),
             flow_value, side, network,
@@ -612,11 +605,10 @@ def solve_assignment(
     unit = [1] * n
     instance = new_instance(matrix, unit, unit)
     plan, _, _ = solve_weighted_hungarian(instance)
-    perm = [-1] * n
-    for (i, j), q in plan.entries.items():
-        assert q == 1
-        perm[i] = j
-    return tuple(perm), plan_cost(instance, plan)
+    cells = plan.cells()
+    if [i for i, _ in cells] != list(range(n)):
+        raise RuntimeError(f"internal error: the plan is not a permutation: {plan!r}")
+    return tuple(j for _, j in cells), plan_cost(instance, plan)
 
 
 def aggregate_assignment_solution(
@@ -628,8 +620,4 @@ def aggregate_assignment_solution(
     quantity (i, j) counts the expanded rows of i assigned into columns of j."""
     if len(permutation) != len(row_map) or len(permutation) != len(col_map):
         raise ValueError("permutation and block maps must all have the expanded order")
-    counts: dict[Cell, int] = {}
-    for p, q in enumerate(permutation):
-        cell = (row_map[p], col_map[q])
-        counts[cell] = counts.get(cell, 0) + 1
-    return TransportPlan(counts)
+    return TransportPlan(Counter((row_map[p], col_map[q]) for p, q in enumerate(permutation)))

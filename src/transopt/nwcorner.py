@@ -138,7 +138,8 @@ def _first_adjacent_violation(rows: list[list[int]]) -> tuple[int, int, int, int
 
 
 def _first_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
-    """First violated (i, j, r, s) in (i, j, r, s) order; see check_monge."""
+    """First violated (i, j, r, s) in (i, j, r, s) order; see check_monge.
+    check_monge calls it only after an adjacent violation, so it finds one."""
     m, n = len(rows), len(rows[0])
     for i in range(m - 1):
         best: tuple[int, int, list[int]] | None = None  # (j, r, g)
@@ -156,7 +157,6 @@ def _first_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
             j, r, g = best
             s = next(s for s in range(j + 1, n) if g[s] < g[j])
             return i, j, r, s
-    return None
 
 
 def _is_nonincreasing(v: Sequence[Fraction]) -> bool:

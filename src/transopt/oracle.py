@@ -108,12 +108,10 @@ def enumerate_assignment(
         raise ValueError("assignment cost matrix must be square")
     if n > max_n:
         raise ValueError(f"size guard exceeded: n {n} > {max_n}")
-    best_perm: tuple[int, ...] | None = None
-    best_cost: Fraction | None = None
-    for perm in itertools.permutations(range(n)):
-        total = sum((matrix[i][perm[i]] for i in range(n)), Fraction(0))
-        if best_cost is None or total < best_cost:
-            best_cost = total
-            best_perm = perm
-    assert best_perm is not None and best_cost is not None
-    return best_perm, best_cost
+
+    def cost_of(perm: tuple[int, ...]) -> Fraction:
+        return sum((matrix[i][j] for i, j in enumerate(perm)), Fraction(0))
+
+    # permutations come in lexicographic order and min keeps the first minimum
+    best = min(itertools.permutations(range(n)), key=cost_of)
+    return best, cost_of(best)

@@ -417,6 +417,24 @@ class TestSolveCommand:
         assert code == 0
         assert out.endswith("total cost = 6\n")
 
+    def test_parse_size_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CELLS", 6)
+        # the header of the worked example is on line 2
+        message = "line 2, column 1: instance 3 x 4 has 12 cells, over the limit of 6"
+        for argv in (("solve", str(WORKED), "--method", "nw"), ("check-monge", str(WORKED))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {WORKED}: {message}\n"
+        # the cap is checked before any cost is converted
+        bad = "3 4\n1 zz 3 4\n1 2 3 4\n1 2 3 4\n4 4 4\n3 3 3 3\n"
+        with pytest.raises(ParseError, match="^line 1, column 1: instance 3 x 4 has 12 cells"):
+            parse_instance(bad)
+        monkeypatch.setattr(cli, "MAX_CELLS", 12)
+        code, out, _ = run(capsys, "solve", str(WORKED), "--method", "hungarian")
+        assert code == 0
+        assert out.endswith("total cost = 47\n")
+
 
 class TestCheckMongeCommand:
     def test_worked_example_violated_exit_1(self, capsys):
@@ -459,7 +477,7 @@ class TestGenerateCommand:
         assert err == f"error: survey sizes must be positive integers, got {bad!r}\n"
 
     def test_survey_size_guard_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SURVEY_CELLS", 6)
+        monkeypatch.setattr(cli, "MAX_CELLS", 6)
         code, out, err = run(capsys, "generate", "survey", "2", "4")
         assert code == 2
         assert out == ""

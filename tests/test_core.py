@@ -23,6 +23,7 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
+from transopt.core import as_matrix
 
 # Certificate for the worked example's optimal plan, solved by elimination
 # along its support tree with alpha[0] = 0; cross-checked by verify_optimal.
@@ -64,6 +65,12 @@ class TestNewInstance:
         with pytest.raises(ValueError, match="row 1"):
             new_instance([[1, 2], [3]], [1, 1], [1, 1])
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+            as_matrix([])
+        with pytest.raises(ValueError, match="^matrix must have at least one column$"):
+            as_matrix([[]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             new_instance([[float("inf")]], [1], [1])
@@ -99,6 +106,12 @@ class TestTransportPlan:
     def test_repeated_cell_rejected(self, entries):
         with pytest.raises(ValueError, match=r"cell \(0, 0\) is given twice"):
             TransportPlan(entries)
+
+    def test_not_equal_to_a_non_plan(self):
+        plan = TransportPlan({(0, 0): 1})
+        assert plan.__eq__({(0, 0): 1}) is NotImplemented
+        assert plan != {(0, 0): 1}
+        assert plan != 1
 
     def test_entries_are_read_only(self):
         plan = TransportPlan({(0, 0): 1})

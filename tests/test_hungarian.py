@@ -11,6 +11,7 @@ from helpers import composition, random_instance
 from transopt import hungarian
 from transopt import (
     HungarianIteration,
+    OptimalityReport,
     TransportPlan,
     aggregate_assignment_solution,
     delta_adjust,
@@ -358,6 +359,42 @@ class TestSolveWeightedHungarian:
         ):
             solve_weighted_hungarian(worked_instance)
 
+    def test_a_cover_heavier_than_the_flow_is_an_internal_error(
+        self, worked_instance, monkeypatch
+    ):
+        cut = hungarian.ZeroFlowNetwork.min_cut_cover
+
+        def heavier(network):
+            cover = cut(network)
+            return hungarian.LineCover(cover.rows, cover.cols, cover.weight + 1)
+
+        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "min_cut_cover", heavier)
+        with pytest.raises(RuntimeError, match=r"^min-cut weight 13 differs from max-flow 12$"):
+            solve_weighted_hungarian(worked_instance)
+
+    def test_a_cover_that_leaves_a_zero_is_an_internal_error(
+        self, worked_instance, monkeypatch
+    ):
+        def empty(network):
+            return hungarian.LineCover(frozenset(), frozenset(), network.max_flow())
+
+        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "min_cut_cover", empty)
+        # the first zero of REDUCED_START in row-major order
+        with pytest.raises(RuntimeError, match=r"^derived cover misses the zero at \(0, 2\)$"):
+            solve_weighted_hungarian(worked_instance)
+
+    def test_a_failed_final_certificate_check_is_an_internal_error(
+        self, worked_instance, monkeypatch
+    ):
+        violation = ("dual", 0, 0, Fraction(11), Fraction(10))
+        monkeypatch.setattr(
+            hungarian, "verify_optimal", lambda *args: OptimalityReport(False, violation)
+        )
+        with pytest.raises(
+            RuntimeError, match=r"^internal error: certificate check failed: \('dual', 0, 0, "
+        ):
+            solve_weighted_hungarian(worked_instance)
+
     @pytest.mark.parametrize(
         "name, alpha, beta",
         [
@@ -558,6 +595,27 @@ class TestSolveAssignment:
             _, expected = enumerate_assignment(matrix)
             assert cost == expected
             assert sum(matrix[i][perm[i]] for i in range(n)) == expected
+
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
+             (1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)},
+            {(0, 0): 1, (0, 1): 1},
+        ],
+    )
+    def test_a_plan_that_is_not_a_permutation_is_an_internal_error(
+        self, monkeypatch, entries
+    ):
+        plan = TransportPlan(entries)
+        monkeypatch.setattr(
+            hungarian, "solve_weighted_hungarian", lambda instance: (plan, None, None)
+        )
+        with pytest.raises(
+            RuntimeError, match=r"^internal error: the plan is not a permutation: TransportPlan"
+        ):
+            solve_assignment([[0, 0], [0, 0]])
 
 
 class TestAggregate:

@@ -16,6 +16,7 @@ from helpers import (
 )
 from transopt import (
     MongeOrderWarning,
+    MongeReport,
     ProblemPSpec,
     TransportPlan,
     check_monge,
@@ -67,6 +68,10 @@ class TestCheckMonge:
 
     def test_constant_matrix_holds(self):
         assert check_monge([[5] * 3] * 4, "exhaustive").holds
+
+    def test_report_truth_is_the_verdict(self):
+        assert not MongeReport(False)
+        assert MongeReport(True)
 
     def test_two_by_two_cases(self):
         assert check_monge([[0, 1], [1, 0]], "exhaustive").holds
@@ -218,6 +223,15 @@ class TestFactoredCost:
             cost = factored_cost([1, 2], [3, 1])
         assert cost == ((3, 1), (6, 2))
 
+    def test_negative_entries_warn_but_build(self):
+        with pytest.warns(MongeOrderWarning) as caught:
+            cost = factored_cost([1, -1], [0, 2])
+        assert [str(w.message) for w in caught] == [
+            "factored cost without greedy-optimality guarantee: "
+            "entries are not all nonnegative"
+        ]
+        assert cost == ((0, 2), (0, -2))
+
     def test_three_by_three_nw_matches_oracle(self):
         cost = factored_cost([3, 2, 1], [1, 2, 3])
         inst = new_instance(cost, [2, 1, 2], [1, 2, 2])
@@ -357,6 +371,13 @@ class TestProblemP:
         with pytest.raises(ValueError, match="x has"):
             problem_p_instance(
                 ProblemPSpec((0, 1, 2), (0, 1), (Fraction(1, 2), Fraction(1, 2)),
+                             (Fraction(1, 2), Fraction(1, 2)), abs)
+            )
+
+    def test_mismatched_column_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^y has 3 values but p_col has 2$"):
+            problem_p_instance(
+                ProblemPSpec((0, 1), (0, 1, 2), (Fraction(1, 2), Fraction(1, 2)),
                              (Fraction(1, 2), Fraction(1, 2)), abs)
             )
 
