@@ -63,9 +63,9 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
-# Largest cost matrix `generate survey` builds or `parse_instance` reads,
-# checked before any cost is converted: the matrix is dense, so m * n bounds
-# its memory.
+# Largest cost matrix `generate` builds or `parse_instance` reads, checked
+# before any matrix is built or any line after the header is split: the
+# matrix is dense, so m * n bounds its memory.
 MAX_CELLS = 1_000_000
 
 _TOKEN = re.compile(r"\S+")
@@ -100,14 +100,13 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _data_lines(text: str) -> list[tuple[int, str, list[str]]]:
-    """Non-comment, non-blank lines as (lineno, line, tokens)."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if tokens and not tokens[0].startswith("#"):
-            out.append((lineno, raw, tokens))
-    return out
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """Non-comment, non-blank lines as (lineno, line); `_parse_row` splits each."""
+    return [
+        (lineno, raw)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.lstrip()[:1] not in ("", "#")
+    ]
 
 
 def _columns(raw: str) -> list[int]:
@@ -116,9 +115,10 @@ def _columns(raw: str) -> list[int]:
 
 
 def _parse_row(
-    line: tuple[int, str, list[str]], expected: int, label: str
+    line: tuple[int, str], expected: int, label: str
 ) -> list[Fraction]:
-    lineno, raw, tokens = line
+    lineno, raw = line
+    tokens = raw.split()
     if len(tokens) != expected:
         columns = _columns(raw)
         column = columns[expected] if len(tokens) > expected else (
@@ -149,8 +149,8 @@ def parse_instance(text: str) -> TransportInstance:
     if not lines:
         raise ParseError(1, 1, "empty instance: expected an 'm n' header line")
     header = _parse_row(lines[0], 2, "header line")
-    lineno, raw, tokens = lines[0]
-    for value, column, token in zip(header, _columns(raw), tokens):
+    lineno, raw = lines[0]
+    for value, column, token in zip(header, _columns(raw), raw.split()):
         if value.denominator != 1 or value < 1:
             raise ParseError(
                 lineno, column, f"dimension must be a positive integer, got {token!r}"
@@ -416,43 +416,44 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     supply = _rationals(args.supply or [], "--supply")
     demand = _rationals(args.demand or [], "--demand")
 
+    if kind == "survey":
+        _require(len(args.params) == 2, "survey takes exactly two sizes: m n")
+        m, n = (_survey_size(p) for p in args.params)
+    else:
+        _require(not args.params, f"{kind} takes no positional parameters")
+        _require(bool(x) and bool(y), f"{kind} requires --x and --y")
+        m, n = len(x), len(y)
+    _require(
+        m * n <= MAX_CELLS, f"{kind} {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}"
+    )
     try:
         if kind == "survey":
-            _require(len(args.params) == 2, "survey takes exactly two sizes: m n")
-            m, n = (_survey_size(p) for p in args.params)
-            _require(
-                m * n <= MAX_CELLS,
-                f"survey {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}",
-            )
             cost = [[abs(i - j) for j in range(n)] for i in range(m)]
             supply = supply or [Fraction(1)] * m
             demand = demand or [Fraction(1)] * n
             instance = new_instance(cost, supply, demand)
+        elif kind == "problemp":
+            p_row = _rationals(args.p_row or [], "--p-row")
+            p_col = _rationals(args.p_col or [], "--p-col")
+            _require(bool(p_row) and bool(p_col), "problemp requires --p-row and --p-col")
+            spec = ProblemPSpec(
+                tuple(x), tuple(y), tuple(p_row), tuple(p_col), COST_SHAPES[args.f]
+            )
+            instance = problem_p_instance(spec)
         else:
-            _require(not args.params, f"{kind} takes no positional parameters")
-            _require(bool(x) and bool(y), f"{kind} requires --x and --y")
-            if kind == "problemp":
-                p_row = _rationals(args.p_row or [], "--p-row")
-                p_col = _rationals(args.p_col or [], "--p-col")
-                _require(bool(p_row) and bool(p_col), "problemp requires --p-row and --p-col")
-                spec = ProblemPSpec(
-                    tuple(x), tuple(y), tuple(p_row), tuple(p_col), COST_SHAPES[args.f]
-                )
-                instance = problem_p_instance(spec)
+            _require(bool(supply) and bool(demand), f"{kind} requires --supply and --demand")
+            if kind == "factored":
+                # one stable line per warning, without Python's source location
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    cost = factored_cost(x, y)
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
+            elif kind == "sum":
+                cost = sum_cost(x, y)
             else:
-                _require(bool(supply) and bool(demand), f"{kind} requires --supply and --demand")
-                if kind == "factored":
-                    # one stable line per warning, without Python's source location
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        cost = factored_cost(x, y)
-                    for warning in caught:
-                        print(f"warning: {warning.message}", file=sys.stderr)
-                elif kind == "sum":
-                    cost = sum_cost(x, y)
-                else:
-                    cost = convex_diff_cost(x, y, COST_SHAPES[args.f])
-                instance = new_instance(cost, supply, demand)
+                cost = convex_diff_cost(x, y, COST_SHAPES[args.f])
+            instance = new_instance(cost, supply, demand)
     except ValueError as exc:
         raise CommandError(EXIT_INPUT_ERROR, str(exc)) from exc
 

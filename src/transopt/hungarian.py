@@ -561,7 +561,10 @@ def solve_weighted_hungarian(
         tuple(Fraction(a, scale) for a in alpha),
         tuple(Fraction(b, scale) for b in beta),
     )
-    report = verify_optimal(instance, plan, certificate)
+    try:
+        report = verify_optimal(instance, plan, certificate)
+    except ValueError as exc:  # an infeasible plan is a fault of the solver, not the input
+        raise RuntimeError(f"internal error: {exc}") from exc
     if not report:
         raise RuntimeError(f"internal error: certificate check failed: {report.violation}")
     trace = SolveTrace(scale, tuple(iterations), plan, certificate)

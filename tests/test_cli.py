@@ -435,6 +435,23 @@ class TestSolveCommand:
         assert code == 0
         assert out.endswith("total cost = 47\n")
 
+    def test_size_cap_refuses_before_splitting_the_rows(self, monkeypatch):
+        # one row of 200000 three-digit costs: 1.1 MiB of text, whose tokens
+        # would take about 14 MiB
+        monkeypatch.setattr(cli, "MAX_CELLS", 1000)
+        text = "1 200000\n" + " ".join(["123"] * 200_000) + "\n1\n" + "1 " * 200_000 + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as caught:
+                parse_instance(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            "line 1, column 1: instance 1 x 200000 has 200000 cells, over the limit of 1000"
+        )
+        assert peak < 2 << 20
+
 
 class TestCheckMongeCommand:
     def test_worked_example_violated_exit_1(self, capsys):
@@ -453,6 +470,20 @@ class TestCheckMongeCommand:
     def test_adjacent_mode(self, capsys):
         code, _, _ = run(capsys, "check-monge", str(WORKED), "--mode", "adjacent")
         assert code == 1
+
+
+# argv after `generate <kind>` for a 3 x 3 instance of every kind
+SQUARE_3 = {
+    "survey": ("3", "3"),
+    "sum": ("--x", "1", "2", "3", "--y", "0", "1", "2",
+            "--supply", "1", "1", "1", "--demand", "1", "1", "1"),
+    "factored": ("--x", "3", "2", "1", "--y", "1", "2", "3",
+                 "--supply", "1", "1", "1", "--demand", "1", "1", "1"),
+    "convexdiff": ("--f", "abs", "--x", "1", "2", "3", "--y", "0", "2", "4",
+                   "--supply", "1", "1", "1", "--demand", "1", "1", "1"),
+    "problemp": ("--x", "0", "1", "2", "--y", "0", "1", "2",
+                 "--p-row", "1/3", "1/3", "1/3", "--p-col", "1/3", "1/3", "1/3"),
+}
 
 
 class TestGenerateCommand:
@@ -485,6 +516,29 @@ class TestGenerateCommand:
         code, out, _ = run(capsys, "generate", "survey", "2", "3", "--demand", "1", "1", "0")
         assert code == 0
         assert out.startswith("2 3\n")
+
+    @pytest.mark.parametrize("kind", SQUARE_3)
+    def test_size_cap_refuses_every_kind_before_building(self, capsys, monkeypatch, kind):
+        def builder(*args, **kwargs):
+            raise AssertionError("a builder ran on over-cap input")
+
+        for name in ("new_instance", "sum_cost", "factored_cost", "convex_diff_cost",
+                     "problem_p_instance"):
+            monkeypatch.setattr(cli, name, builder)
+        monkeypatch.setattr(cli, "MAX_CELLS", 8)
+        code, out, err = run(capsys, "generate", kind, *SQUARE_3[kind])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {kind} 3 x 3 has 9 cells, over the limit of 8\n"
+
+    @pytest.mark.parametrize("kind", SQUARE_3)
+    def test_every_kind_at_the_size_cap_writes_a_readable_file(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr(cli, "MAX_CELLS", 9)
+        code, out, err = run(capsys, "generate", kind, *SQUARE_3[kind])
+        assert code == 0
+        assert err == ""
+        instance = parse_instance(out)
+        assert (instance.m, instance.n) == (3, 3)
 
     def test_sum_kind(self, capsys):
         code, out, _ = run(

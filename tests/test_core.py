@@ -12,6 +12,7 @@ from transopt import (
     DegenerateBasisError,
     DualCertificate,
     TransportPlan,
+    as_fraction,
     compute_duals_from_plan,
     dual_objective,
     enumerate_optimum,
@@ -78,6 +79,14 @@ class TestNewInstance:
     def test_fraction_strings_accepted(self):
         inst = new_instance([["1/2"]], ["3/4"], [Fraction(3, 4)])
         assert inst.cost[0][0] == Fraction(1, 2)
+
+    def test_finite_floats_convert_to_their_exact_binary_value(self):
+        tenth = Fraction(3602879701896397, 36028797018963968)
+        assert as_fraction(0.1) == tenth
+        inst = new_instance([[0.1, 2.5]], [1.0], [0.25, 0.75])
+        assert inst.cost == ((tenth, Fraction(5, 2)),)
+        assert inst.supply == (1,) and inst.demand == (Fraction(1, 4), Fraction(3, 4))
+        assert all(type(v) is Fraction for v in inst.cost[0] + inst.supply + inst.demand)
 
     @given(balanced_instances())
     def test_accepted_instances_are_balanced(self, inst):

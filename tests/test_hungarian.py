@@ -31,7 +31,7 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
-from transopt.cli import parse_instance
+from transopt.cli import main, parse_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -394,6 +394,26 @@ class TestSolveWeightedHungarian:
             RuntimeError, match=r"^internal error: certificate check failed: \('dual', 0, 0, "
         ):
             solve_weighted_hungarian(worked_instance)
+
+    def test_an_infeasible_final_plan_is_an_internal_error(self, worked_instance, monkeypatch):
+        # a mutant flow read-out that drops the first cell, (0, 2) with 3 units
+        flow = hungarian.ZeroFlowNetwork.zero_cell_flow
+
+        def drop_first(network):
+            cells = flow(network)
+            del cells[min(cells)]
+            return cells
+
+        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "zero_cell_flow", drop_first)
+        message = (
+            r"^internal error: plan is infeasible \(row 0 has residual 3\); "
+            "cannot certify optimality$"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            solve_weighted_hungarian(worked_instance)
+        # so the CLI does not report it as a method precondition (exit 3)
+        with pytest.raises(RuntimeError, match=message):
+            main(["solve", str(DATA / "worked_example.txt"), "--method", "hungarian"])
 
     @pytest.mark.parametrize(
         "name, alpha, beta",
