@@ -1,7 +1,7 @@
 """Command-line front end: instance files in, plans / traces / JSON out.
 
-Instance file format (whitespace-separated, '#' comment lines allowed
-anywhere, numbers are integers or fractions like 5/2):
+Instance file format (UTF-8, whitespace-separated, '#' comment lines
+allowed anywhere, numbers as `core.as_fraction` reads them, e.g. 5/2):
 
     m n
     <m rows of n costs>
@@ -24,7 +24,7 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CyclicBasisError,
@@ -33,6 +33,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _spanning_forest,
+    as_fraction,
     compute_duals_from_plan,
     new_instance,
     plan_cost,
@@ -100,13 +101,14 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """Non-comment, non-blank lines as (lineno, line); `_parse_row` splits each."""
-    return [
-        (lineno, raw)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if raw.lstrip()[:1] not in ("", "#")
-    ]
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Non-comment, non-blank lines as (lineno, line), numbered as by
+    `str.splitlines` and found as they are read; `_parse_row` splits each."""
+    pieces = re.finditer(r".*\n?", text)  # each ends at a "\n", so "\r\n" stays whole
+    lines = (raw for piece in pieces for raw in piece[0].splitlines())
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.lstrip()[:1] not in ("", "#"):
+            yield lineno, raw
 
 
 def _columns(raw: str) -> list[int]:
@@ -128,17 +130,11 @@ def _parse_row(
             lineno, column, f"{label} has {len(tokens)} fields, expected {expected}"
         )
     values = []
-    for token in tokens:
-        try:
-            # Fraction(int(token)) is the fast path, for ASCII digits only,
-            # so a token is accepted exactly when Fraction(token) accepts it
-            if token.isascii() and token.isdigit():
-                values.append(Fraction(int(token)))
-            else:
-                values.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            column = _columns(raw)[len(values)]
-            raise ParseError(lineno, column, f"malformed number {token!r}") from None
+    try:
+        for token in tokens:
+            values.append(as_fraction(token))
+    except ValueError as exc:
+        raise ParseError(lineno, _columns(raw)[len(values)], str(exc)) from None
     return values
 
 
@@ -146,35 +142,34 @@ def parse_instance(text: str) -> TransportInstance:
     """Parse instance text; raises ParseError naming line and column, or a
     ValueError (e.g. imbalance with both totals) from validation."""
     lines = _data_lines(text)
-    if not lines:
+    lineno, raw = first = next(lines, (1, ""))  # a data line is never blank
+    if not raw:
         raise ParseError(1, 1, "empty instance: expected an 'm n' header line")
-    header = _parse_row(lines[0], 2, "header line")
-    lineno, raw = lines[0]
-    for value, column, token in zip(header, _columns(raw), raw.split()):
+    header = _parse_row(first, 2, "header line")
+    for k, value in enumerate(header):
         if value.denominator != 1 or value < 1:
-            raise ParseError(
-                lineno, column, f"dimension must be a positive integer, got {token!r}"
-            )
+            reason = f"dimension must be a positive integer, got {raw.split()[k]!r}"
+            raise ParseError(lineno, _columns(raw)[k], reason)
     m, n = int(header[0]), int(header[1])
-    expected_lines = 1 + m + 2
-    if len(lines) < expected_lines:
+    rows = []  # the m cost rows, the supply line and the demand line
+    for line in lines:
+        if len(rows) == m + 2:
+            raise ParseError(line[0], 1, "unexpected extra data after the demand line")
+        rows.append(line)
+    if len(rows) < m + 2:
         raise ParseError(
-            lines[-1][0],
+            rows[-1][0] if rows else lineno,
             1,
             f"incomplete instance: expected {m} cost rows, a supply line and a "
             f"demand line after the header",
-        )
-    if len(lines) > expected_lines:
-        raise ParseError(
-            lines[expected_lines][0], 1, "unexpected extra data after the demand line"
         )
     if m * n > MAX_CELLS:
         raise ParseError(
             lineno, 1, f"instance {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}"
         )
-    cost = [_parse_row(lines[1 + k], n, f"cost row {k + 1}") for k in range(m)]
-    supply = _parse_row(lines[1 + m], m, "supply line")
-    demand = _parse_row(lines[2 + m], n, "demand line")
+    cost = [_parse_row(rows[k], n, f"cost row {k + 1}") for k in range(m)]
+    supply = _parse_row(rows[m], m, "supply line")
+    demand = _parse_row(rows[m + 1], n, "demand line")
     return new_instance(cost, supply, demand)
 
 
@@ -338,6 +333,8 @@ def _load_instance(path: str) -> TransportInstance:
             text = handle.read()
     except OSError as exc:
         raise CommandError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CommandError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc}") from exc
     try:
         return parse_instance(text)
     except ValueError as exc:  # ParseError, BalanceError, validation errors
@@ -384,15 +381,10 @@ def _cmd_check_monge(args: argparse.Namespace) -> int:
 
 
 def _rationals(values: Iterable[str], label: str) -> list[Fraction]:
-    out = []
-    for token in values:
-        try:
-            out.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise CommandError(
-                EXIT_INPUT_ERROR, f"malformed number {token!r} in {label}"
-            ) from None
-    return out
+    try:
+        return [as_fraction(token) for token in values]
+    except ValueError as exc:
+        raise CommandError(EXIT_INPUT_ERROR, f"{exc} in {label}") from None
 
 
 def _require(condition: bool, message: str) -> None:

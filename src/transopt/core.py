@@ -12,6 +12,8 @@ All types are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -122,14 +124,67 @@ def _value_type(cls: type) -> type:
     return cls
 
 
+# The exponent that ends a number as `Fraction` reads it: its sign and digits.
+# Compiled on first use, since plain digit tokens never need it.
+_EXPONENT = r"[eE]([-+]?)(\d[\d_]*)\s*\Z"
+
+
+def _fits(n: int, limit: int) -> bool:
+    """Whether abs(n) has at most `limit` decimal digits (8**limit < 10**limit)."""
+    return n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
+def _read_number(token: str, limit: int) -> Fraction | None:
+    """`Fraction(token)`, or None when its reduced numerator or denominator
+    would have more than `limit` digits.
+
+    `int` reads no run of more digits than it prints, so only an exponent
+    can make `Fraction` compute a larger power of ten: a large one is
+    refused before `Fraction` reads the token.
+    """
+    exponent = re.search(_EXPONENT, token)
+    if exponent is not None:
+        sign, digits = exponent.groups()
+        start, end = exponent.span(2)
+        # zeroing the exponent's digits keeps the token's form, so `Fraction`
+        # reads the zeroed token exactly when it reads this one
+        base = Fraction(token[:start] + re.sub(r"\d", "0", digits) + token[end:])
+        if not base:
+            return base
+        # past this, 10**|power| alone gives the numerator (power > 0) or the
+        # denominator (power < 0) more than `limit` digits, whatever the base
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if abs(int(sign + digits)) > limit + bits:
+            return None
+    number = Fraction(token)
+    if _fits(number.numerator, limit) and _fits(number.denominator, limit):
+        return number
+    return None
+
+
 def as_fraction(value: Numberish) -> Fraction:
     """Convert a number to an exact Fraction.
 
-    Accepts ints, Fractions, strings like "3" or "-5/7", and finite floats
-    (converted to their exact binary value).
+    Accepts ints, Fractions, finite floats (their exact binary value) and
+    strings `Fraction` reads ("3", "-5/7", "1.5e3"); a string is refused with
+    a ValueError naming it when `Fraction` refuses it or when its reduced
+    numerator or denominator would have more digits than `str` prints of an
+    int (`sys.get_int_max_str_digits()`, or its default where that is off).
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:  # the common case, before isinstance's ABCMeta check
         return value
+    if isinstance(value, str):
+        try:
+            if value.isascii() and value.isdigit():
+                # int() reads no more digits than str() prints: within the bound
+                return Fraction(int(value))
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            number = _read_number(value, limit)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed number {value!r}") from None
+        if number is None:
+            raise ValueError(f"number {value!r} exceeds the limit of {limit} digits")
+        return number
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"entries must be finite, got {value!r}")
@@ -138,7 +193,7 @@ def as_fraction(value: Numberish) -> Fraction:
 
 
 def as_vector(values: Iterable[Numberish]) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
+    return tuple(map(as_fraction, values))
 
 
 def as_matrix(rows: Sequence[Sequence[Numberish]]) -> tuple[tuple[Fraction, ...], ...]:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -150,6 +151,38 @@ class TestParseInstance:
     def test_bad_dimension(self):
         with pytest.raises(ParseError, match="positive integer"):
             parse_instance("0 2\n1 1\n1 1")
+
+    def test_huge_exponent_is_refused_on_its_line(self):
+        # Fraction alone would spend seconds computing 10**999999999
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_instance("1 2\n3 1e999999999\n1\n0 1\n")
+        assert time.perf_counter() - started < 1
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == (
+            f"line 2, column 3: number '1e999999999' exceeds the limit of {limit} digits"
+        )
+
+    @pytest.mark.parametrize(
+        "end", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_numbers_follow_str_splitlines(self, end):
+        text = end.join(["# comment", "2 2", "", "1 2", "3 4", "1 1", "1 x"]) + end
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == text.splitlines().index("1 x") + 1 == 7
+
+    def test_reading_stops_one_line_after_the_demand_line(self):
+        text = "1 1\n" + "7\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_instance(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "line 5, column 1: unexpected extra data after the demand line"
+        assert peak < 1 << 20
 
 
 class TestRoundTrip:
@@ -388,6 +421,24 @@ class TestSolveCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_number_over_the_digit_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("1 2\n1e5000 0\n1\n1 0\n")
+        limit = sys.get_int_max_str_digits()
+        message = f"line 2, column 1: number '1e5000' exceeds the limit of {limit} digits"
+        for argv in (("solve", str(path), "--method", "nw"), ("check-monge", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}: {message}\n"
+
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1 1\n\xff\xfe\n1\n1\n")
+        for argv in (("solve", str(path), "--method", "nw"), ("check-monge", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     def test_huge_header_on_short_file_is_incomplete(self, tmp_path, capsys):
         short = tmp_path / "short.txt"
         short.write_text("1000000 1000000\n1 2 3\n")
@@ -618,6 +669,15 @@ class TestGenerateCommand:
         )
         assert code == 2
         assert "malformed number" in err
+
+    def test_number_over_the_digit_limit_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "sum", "--x", "1e5000", "--y", "1",
+            "--supply", "1", "--demand", "1",
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: number '1e5000' exceeds the limit of {limit} digits in --x\n"
 
     def test_generated_output_round_trips(self, capsys):
         code, out, _ = run(capsys, "generate", "survey", "3", "3")

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,92 @@ class TestNewInstance:
     @given(balanced_instances())
     def test_accepted_instances_are_balanced(self, inst):
         assert sum(inst.supply) == sum(inst.demand) == inst.total
+
+
+# ASCII, Arabic-Indic and fullwidth digits: `Fraction` and `int` read all three
+DIGITS = "0123456789" + "\u0660\u0661\u0662\u0669" + "\uff10\uff11\uff19"
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def read_like_fraction(token):
+    """`Fraction(token)` when this interpreter reads it and its reduced
+    numerator and denominator have at most `digit_limit()` digits, else None."""
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+    bound = 10 ** digit_limit()
+    return value if abs(value.numerator) < bound and value.denominator < bound else None
+
+
+@st.composite
+def number_tokens(draw):
+    """Signs, leading zeros and surrounding whitespace around an integer, a
+    ratio p/q, a decimal, or a number with an exponent near 0 or near the
+    digit limit."""
+    digits = st.text(DIGITS, min_size=1, max_size=5)
+    head = draw(st.sampled_from(["", "0", "00"])) + draw(digits)
+    form = draw(st.sampled_from(["integer", "ratio", "decimal", "exponent"]))
+    if form == "ratio":
+        head += "/" + draw(digits)
+    elif form == "decimal":
+        head += "." + draw(st.text(DIGITS, max_size=4))
+    elif form == "exponent":
+        limit = digit_limit()
+        power = draw(st.integers(0, 12) | st.integers(limit - 12, limit + 12))
+        head += draw(st.sampled_from(["", ".", ".5", "5"])) + draw(st.sampled_from("eE"))
+        head += draw(st.sampled_from(["", "+", "-"])) + str(power)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + draw(st.sampled_from(["", "+", "-"])) + head + draw(pad)
+
+
+class TestAsFraction:
+    @given(number_tokens() | st.text("0123456789+-/.eE_ x\u0661", max_size=10))
+    @settings(max_examples=400, deadline=None)
+    def test_reads_a_token_as_fraction_does_within_the_digit_limit(self, token):
+        expected = read_like_fraction(token)
+        if expected is None:
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
+                as_fraction(token)
+        else:
+            value = as_fraction(token)
+            assert value == expected
+            assert type(value) is Fraction
+
+    @pytest.mark.parametrize("token", [" 3 ", "+3", "-0", "3/6", "1.50", "1.5e3", "\u0661\u0662"])
+    def test_fixed_tokens(self, token):
+        assert as_fraction(token) == Fraction(token)
+
+    def test_digit_limit_edges(self):
+        limit = digit_limit()
+        power = "1" + "0" * (limit - 1)  # limit digits
+        assert str(as_fraction(f"1e{limit - 1}")) == power
+        assert str(as_fraction(f"1e-{limit - 1}")) == f"1/{power}"
+        for token in (f"1e{limit}", f"1e-{limit}"):
+            with pytest.raises(
+                ValueError, match=f"^number '{token}' exceeds the limit of {limit} digits$"
+            ):
+                as_fraction(token)
+
+    def test_library_callers_get_the_digit_limit(self):
+        with pytest.raises(ValueError, match="^number '1e5000' exceeds the limit"):
+            as_fraction("1e5000")
+        with pytest.raises(ValueError, match="'1e5000'"):
+            new_instance([["1e5000"]], [1], [1])
+        with pytest.raises(ValueError, match="'-1e-5000'"):
+            DualCertificate(["-1e-5000"], [0])
+        with pytest.raises(ValueError, match="'1e5000'"):
+            TransportPlan({(0, 0): "1e5000"})
+
+    def test_huge_exponent_is_refused_before_its_power_is_computed(self):
+        # 10**999999999 would take Fraction more than ten seconds
+        for token in ("1e999999999", "-2.5E+999999999", "7e-999999999"):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                as_fraction(token)
+        assert as_fraction("0e999999999") == 0
 
 
 class TestTransportPlan:
