@@ -9,8 +9,9 @@ allowed anywhere, numbers as `core.as_fraction` reads them, e.g. 5/2):
     <n demands>
 
 Exit codes: 0 success (for check-monge: condition holds), 1 check-monge
-violation, 2 input error (unreadable file, parse error, invalid data),
-3 method precondition failure (e.g. the weighted Hungarian method on
+violation, 2 input error (unreadable file, parse error, invalid data, or a
+result with a number of more digits than `str` prints), 3 method
+precondition failure (e.g. the weighted Hungarian method on
 non-integer marginals, or an oracle size guard).
 
 All human-facing indices are 1-based.
@@ -32,6 +33,7 @@ from .core import (
     OptimalityReport,
     TransportInstance,
     TransportPlan,
+    _digit_limit,
     _spanning_forest,
     as_fraction,
     compute_duals_from_plan,
@@ -151,19 +153,25 @@ def parse_instance(text: str) -> TransportInstance:
             reason = f"dimension must be a positive integer, got {raw.split()[k]!r}"
             raise ParseError(lineno, _columns(raw)[k], reason)
     m, n = int(header[0]), int(header[1])
-    rows = []  # the m cost rows, the supply line and the demand line
+    # the m cost rows, the supply line and the demand line; over the cap they
+    # are only counted, so that the count's messages come first
+    keep = m * n <= MAX_CELLS
+    rows = []
+    count, last = 0, lineno
     for line in lines:
-        if len(rows) == m + 2:
+        if count == m + 2:
             raise ParseError(line[0], 1, "unexpected extra data after the demand line")
-        rows.append(line)
-    if len(rows) < m + 2:
+        count, last = count + 1, line[0]
+        if keep:
+            rows.append(line)
+    if count < m + 2:
         raise ParseError(
-            rows[-1][0] if rows else lineno,
+            last,
             1,
             f"incomplete instance: expected {m} cost rows, a supply line and a "
             f"demand line after the header",
         )
-    if m * n > MAX_CELLS:
+    if not keep:
         raise ParseError(
             lineno, 1, f"instance {m} x {n} has {m * n} cells, over the limit of {MAX_CELLS}"
         )
@@ -366,7 +374,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check_monge(args: argparse.Namespace) -> int:
     instance = _load_instance(args.file)
-    result = check_monge(instance.cost, mode=args.mode)
+    try:
+        result = check_monge(instance.cost, mode=args.mode)
+    except ValueError as exc:  # a common denominator over the digit limit
+        raise CommandError(EXIT_INPUT_ERROR, f"{args.file}: {exc}") from exc
     if result.holds:
         print("MONGE: HOLDS")
         return EXIT_OK
@@ -515,6 +526,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # str() refuses an int of more digits than its limit.  Every input is
+        # held to that limit, but a value computed from inputs (a sum, a
+        # product, a dual) may exceed it; each command builds its whole
+        # output before writing any of it, so nothing has been printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        where = f"{args.file}: " if "file" in args else ""
+        print(
+            f"error: {where}a number in the result exceeds the limit of "
+            f"{_digit_limit()} digits",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

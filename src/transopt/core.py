@@ -129,6 +129,12 @@ def _value_type(cls: type) -> type:
 _EXPONENT = r"[eE]([-+]?)(\d[\d_]*)\s*\Z"
 
 
+def _digit_limit() -> int:
+    """The most digits `str` prints of an int: `sys.get_int_max_str_digits()`,
+    or its default where that is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _fits(n: int, limit: int) -> bool:
     """Whether abs(n) has at most `limit` decimal digits (8**limit < 10**limit)."""
     return n.bit_length() <= 3 * limit or abs(n) < 10**limit
@@ -178,7 +184,7 @@ def as_fraction(value: Numberish) -> Fraction:
             if value.isascii() and value.isdigit():
                 # int() reads no more digits than str() prints: within the bound
                 return Fraction(int(value))
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            limit = _digit_limit()
             number = _read_number(value, limit)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed number {value!r}") from None
@@ -388,8 +394,21 @@ def _scaled_to_integers(
     matrix: Sequence[Sequence[Fraction]],
 ) -> tuple[int, list[list[int]]]:
     """Scale a rational matrix by the least common multiple of its
-    denominators: (scale, the scaled rows as ints)."""
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    denominators: (scale, the scaled rows as ints).
+
+    The multiple is taken over the distinct denominators, and a ValueError
+    naming the limit is raised as soon as it has more digits than
+    `as_fraction` allows a number, so a matrix of many large coprime
+    denominators is refused before its scale grows without bound.
+    """
+    limit = _digit_limit()
+    scale = 1
+    for denominator in {v.denominator for row in matrix for v in row}:
+        scale = math.lcm(scale, denominator)
+        if not _fits(scale, limit):
+            raise ValueError(
+                f"the common denominator of the costs exceeds the limit of {limit} digits"
+            )
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
 
 

@@ -167,8 +167,12 @@ class ZeroFlowNetwork:
     row i to column j with capacity one more than the balanced total, which no
     flow can saturate, so a zero arc never crosses the canonical minimum cut.
 
-    Max flow is computed with shortest augmenting paths, neighbors scanned in
-    ascending node order, so flows and cuts are deterministic.
+    Max flow is computed with shortest augmenting paths (Edmonds and Karp),
+    neighbors scanned in ascending node order, so flows and cuts are
+    deterministic.  Each search stops as soon as it labels the sink: the
+    path is read back from the sink's ancestors, which were all labelled
+    before it, so the nodes the search would have scanned after that point
+    change nothing.
 
     `update_zeros` moves the network to the next reduced matrix of a solve and
     keeps the flow, so the next `max_flow` augments from it instead of from
@@ -250,18 +254,24 @@ class ZeroFlowNetwork:
         self._reached: frozenset[int] = frozenset()
 
     def _search(self) -> list[int]:
-        """Breadth-first search of the residual graph from the source, stopping
-        at the sink; returns each node's BFS parent (-1 where unreached)."""
+        """Breadth-first search of the residual graph from the source; returns
+        each node's BFS parent (-1 where unlabelled).
+
+        The search returns the moment it labels the sink, so nodes still
+        queued then stay unscanned.  A search that never labels the sink
+        labels everything the source reaches.
+        """
+        sink = self.sink
         parent = [-1] * len(self.residual)
         parent[self.source] = self.source
         queue = deque([self.source])
         while queue:
             u = queue.popleft()
-            if u == self.sink:
-                break
             for v, cap in enumerate(self.residual[u]):
                 if cap > 0 and parent[v] < 0:
                     parent[v] = u
+                    if v == sink:
+                        return parent
                     queue.append(v)
         return parent
 

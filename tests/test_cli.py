@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -183,6 +184,26 @@ class TestParseInstance:
             tracemalloc.stop()
         assert str(err.value) == "line 5, column 1: unexpected extra data after the demand line"
         assert peak < 1 << 20
+
+    def test_over_cap_header_counts_the_lines_without_keeping_them(self):
+        text = "1000000 1000000\n" + "7\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_instance(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "line 200001, column 1: incomplete instance: expected 1000000 cost rows, "
+            "a supply line and a demand line after the header"
+        )
+        assert peak < 1 << 20
+        # over the cap, too many lines still come before the cap's message
+        with pytest.raises(ParseError, match="^line 2004, column 1: unexpected extra data"):
+            parse_instance("2000 1000\n" + "7\n" * 2003)
+        with pytest.raises(ParseError, match="^line 1, column 1: instance 2000 x 1000 has"):
+            parse_instance("2000 1000\n" + "7\n" * 2002)
 
 
 class TestRoundTrip:
@@ -431,6 +452,37 @@ class TestSolveCommand:
             assert (code, out) == (2, "")
             assert err == f"error: {path}: {message}\n"
 
+    def test_result_over_the_digit_limit_exit_2(self, tmp_path, capsys):
+        # every input has at most `limit` digits, but the plan cost and the
+        # Monge sum have one more, which str() refuses to print
+        limit = sys.get_int_max_str_digits()
+        long_cost = tmp_path / "long_cost.txt"
+        long_cost.write_text(f"1 1\n1e{limit - 1}\n10\n10\n")
+        long_sum = tmp_path / "long_sum.txt"
+        long_sum.write_text(f"2 2\n9e{limit - 1} 0\n0 9e{limit - 1}\n1 1\n1 1\n")
+        for argv in (
+            ("solve", str(long_cost), "--method", "nw"),
+            ("solve", str(long_cost), "--method", "hungarian", "--json"),
+            ("check-monge", str(long_sum)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {argv[1]}: a number in the result exceeds the limit of {limit} digits\n"
+            )
+
+    def test_common_denominator_over_the_digit_limit(self, tmp_path, capsys):
+        rng = random.Random(15)
+        path = tmp_path / "deep.txt"
+        rows = (" ".join(f"1/{rng.randrange(10**19, 10**20)}" for _ in range(80)) for _ in range(80))
+        path.write_text("80 80\n" + "\n".join(rows) + "\n" + "1 " * 80 + "\n" + "1 " * 80 + "\n")
+        limit = sys.get_int_max_str_digits()
+        message = f"the common denominator of the costs exceeds the limit of {limit} digits"
+        code, out, err = run(capsys, "check-monge", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "hungarian")
+        assert (code, out, err) == (3, "", f"error: method hungarian: {message}\n")
+
     def test_invalid_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
         path.write_bytes(b"1 1\n\xff\xfe\n1\n1\n")
@@ -678,6 +730,15 @@ class TestGenerateCommand:
         limit = sys.get_int_max_str_digits()
         assert (code, out) == (2, "")
         assert err == f"error: number '1e5000' exceeds the limit of {limit} digits in --x\n"
+
+    def test_result_over_the_digit_limit_exit_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        big = f"9e{limit - 1}"  # limit digits; the sum of two has one more
+        code, out, err = run(
+            capsys, "generate", "sum", "--x", big, "--y", big, "--supply", "1", "--demand", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: a number in the result exceeds the limit of {limit} digits\n"
 
     def test_generated_output_round_trips(self, capsys):
         code, out, _ = run(capsys, "generate", "survey", "3", "3")

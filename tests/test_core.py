@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from transopt import (
     DualCertificate,
     TransportPlan,
     as_fraction,
+    check_monge,
     compute_duals_from_plan,
     dual_objective,
     enumerate_optimum,
@@ -26,7 +28,7 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
-from transopt.core import as_matrix
+from transopt.core import _scaled_to_integers, as_matrix
 
 # Certificate for the worked example's optimal plan, solved by elimination
 # along its support tree with alpha[0] = 0; cross-checked by verify_optimal.
@@ -179,6 +181,40 @@ class TestAsFraction:
             with pytest.raises(ValueError, match="exceeds the limit"):
                 as_fraction(token)
         assert as_fraction("0e999999999") == 0
+
+
+class TestScaledToIntegers:
+    def test_scale_is_the_least_common_multiple_of_the_denominators(self):
+        matrix = as_matrix([["1/4", "1/6", "-7/4"], ["3", "5/4", "1/6"]])
+        assert _scaled_to_integers(matrix) == (12, [[3, 2, -21], [36, 15, 2]])
+
+    def test_integer_matrix_keeps_scale_one(self):
+        scale, rows = _scaled_to_integers(as_matrix([[3, -1], [0, 7]]))
+        assert (scale, rows) == (1, [[3, -1], [0, 7]])
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_common_denominator_at_the_digit_limit(self):
+        limit = digit_limit()
+        power = Fraction(1, 10 ** (limit - 1))  # a denominator of limit digits
+        # 3 * 10**(limit - 1) still has limit digits, 11 * 10**(limit - 1) one more
+        assert _scaled_to_integers([[power, Fraction(1, 3)]])[0] == 3 * 10 ** (limit - 1)
+        with pytest.raises(
+            ValueError,
+            match=f"^the common denominator of the costs exceeds the limit of {limit} digits$",
+        ):
+            _scaled_to_integers([[power, Fraction(1, 11)]])
+
+    def test_many_large_denominators_are_refused_early(self):
+        # 6400 coprime-ish 20-digit denominators: their full least common
+        # multiple has about 128000 digits and took seconds to build
+        rng = random.Random(15)
+        cost = [[Fraction(1, rng.randrange(10**19, 10**20)) for _ in range(80)] for _ in range(80)]
+        instance = new_instance(cost, [1] * 80, [1] * 80)
+        started = time.perf_counter()
+        for call in (lambda: check_monge(cost), lambda: solve_weighted_hungarian(instance)):
+            with pytest.raises(ValueError, match="common denominator of the costs exceeds"):
+                call()
+        assert time.perf_counter() - started < 1
 
 
 class TestTransportPlan:

@@ -166,3 +166,48 @@ class TestUpdateZeros:
                 network.update_zeros(matrix)
                 assert_same_as_fresh(network, matrix, supply, demand)
         assert restarts  # 104 of these 160 updates restart
+
+
+def residual_reach(network):
+    """Nodes the source reaches over arcs of positive residual capacity,
+    found by a depth-first walk of the residual matrix."""
+    reached = {network.source}
+    stack = [network.source]
+    while stack:
+        u = stack.pop()
+        for v, cap in enumerate(network.residual[u]):
+            if cap > 0 and v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return reached
+
+
+class TestSourceSide:
+    def test_is_what_the_final_residual_reaches(self):
+        # each search stops when it labels the sink; the last one of each
+        # max_flow never does, so it must still label the whole source side
+        rng = random.Random(1515)
+        for _ in range(60):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            supply = as_vector(composition(rng, 15, m))
+            demand = as_vector(composition(rng, 15, n))
+
+            def pattern():
+                return sorted(
+                    (i, j) for i in range(m) for j in range(n) if rng.random() < 0.35
+                )
+
+            network = ZeroFlowNetwork(as_matrix([[1] * n] * m), supply, demand)
+            network._set_zeros(pattern())
+            for _ in range(5):
+                flow_value = network.max_flow()
+                side = network.source_side()
+                assert side == residual_reach(network)
+                assert network.sink not in side
+                assert network.min_cut_cover().weight == flow_value
+                # keep the zeros and add fresh ones, as a delta step does, or
+                # move to an unrelated pattern, which may restart the flow
+                zeros = pattern()
+                if rng.random() < 0.5:
+                    zeros = sorted(set(network.zero_cells).union(zeros))
+                network._set_zeros(zeros)
