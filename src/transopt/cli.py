@@ -496,9 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("adjacent", "exhaustive"),
         default="exhaustive",
         help="exhaustive (default): report the first violated quadruple "
-        "(i, j, r, s) in scan order, O(mn) if none, O(m^2 n) at most; "
-        "adjacent: test consecutive rows and columns only, O(mn); both give "
-        "the same verdict",
+        "(i, j, r, s) in scan order; adjacent: test consecutive rows and "
+        "columns only; both give the same verdict in O(mn)",
     )
     monge.set_defaults(handler=_cmd_check_monge)
 

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -198,6 +198,16 @@ def as_fraction(value: Numberish) -> Fraction:
     return Fraction(value)
 
 
+def _as_index(value: object, error: type[Exception], what: str) -> int:
+    """`value` as an int index.  A number is read by operator.index, which
+    refuses 0.5 where int() would truncate it to 0; a string by int(), which
+    truncates nothing.  A value that is not an integer raises `error`."""
+    try:
+        return int(value) if isinstance(value, str) else index(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def as_vector(values: Iterable[Numberish]) -> tuple[Fraction, ...]:
     return tuple(map(as_fraction, values))
 
@@ -251,7 +261,8 @@ class TransportPlan:
             q = as_fraction(quantity)
             if q < 0:
                 raise ValueError(f"negative quantity {q} at cell ({i}, {j})")
-            cell = (int(i), int(j))
+            cell = (_as_index(i, ValueError, "cell index"),
+                    _as_index(j, ValueError, "cell index"))
             if cell in seen:
                 raise ValueError(f"cell {cell} is given twice")
             seen.add(cell)
@@ -527,10 +538,11 @@ def compute_duals_from_plan(
     _check_plan_indices(instance, plan)
     m, n = instance.m, instance.n
     cells = set(plan.entries)
-    for i, j in basis_hint or ():
+    for hint in basis_hint or ():
+        i, j = (_as_index(k, IndexError, "hint cell index") for k in hint)
         if not (0 <= i < m and 0 <= j < n):
             raise IndexError(f"hint cell ({i}, {j}) out of range")
-        cells.add((int(i), int(j)))
+        cells.add((i, j))
 
     tree, closing = _spanning_forest(m, n, sorted(cells))
     if closing:

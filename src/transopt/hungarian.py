@@ -37,6 +37,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _as_index,
     _dual_objective,
     _integer_marginals,
     _scaled_to_integers,
@@ -90,8 +91,8 @@ def line_cover(
     supply: Sequence[Fraction],
     demand: Sequence[Fraction],
 ) -> LineCover:
-    row_set = frozenset(int(i) for i in rows)
-    col_set = frozenset(int(j) for j in cols)
+    row_set = frozenset(_as_index(i, IndexError, "covered row") for i in rows)
+    col_set = frozenset(_as_index(j, IndexError, "covered column") for j in cols)
     for i in row_set:
         if not 0 <= i < len(supply):
             raise IndexError(f"covered row {i} out of range")
@@ -633,4 +634,6 @@ def aggregate_assignment_solution(
     quantity (i, j) counts the expanded rows of i assigned into columns of j."""
     if len(permutation) != len(row_map) or len(permutation) != len(col_map):
         raise ValueError("permutation and block maps must all have the expanded order")
+    if set(permutation) != set(range(len(permutation))):
+        raise ValueError(f"permutation is not a permutation of range({len(permutation)})")
     return TransportPlan(Counter((row_map[p], col_map[q]) for p, q in enumerate(permutation)))

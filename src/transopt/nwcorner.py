@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from operator import gt, sub
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -93,33 +94,29 @@ def check_monge(
 ) -> MongeReport:
     """Test cost[i][j] + cost[r][s] <= cost[r][j] + cost[i][s] for i < r, j < s.
 
-    "adjacent" tests only consecutive quadruples (r = i+1, s = j+1) in O(mn);
-    "exhaustive" finds the first violated quadruple in (i, j, r, s) scan
-    order.  The verdicts always agree because adjacent inequalities sum to
-    arbitrary ones, so "exhaustive" runs the adjacent test first and scans
-    only when it fails: O(mn) on a Monge matrix.  The adjacent violation at
-    row k is itself a witness, so the scan stops at row k or before, in
-    O(k m n).
+    "adjacent" reports the first violated (i, j, i+1, j+1) in row-major
+    order, "exhaustive" the first violated (i, j, r, s) in scan order.  The
+    verdicts agree, as adjacent inequalities sum to arbitrary ones, and both
+    modes take O(mn) time and O(n) extra memory.
 
-    Both modes compare integers: the matrix is scaled once by the least
-    common multiple of its denominators, which is exact and keeps every
-    inequality.  For the exhaustive scan, fix rows i < r and let
-    g = row_i - row_r; the quadruple's excess
-    cost[i][j] + cost[r][s] - cost[r][j] - cost[i][s] is g[j] - g[s].  So
-    (i, j, r, s) is violated for some s > j exactly when g[j] > min(g[j+1:]),
-    which one right-to-left pass with a running suffix minimum decides for
-    every j.  The first witness in scan order has, for the first row i that
-    has any, the smallest such j over all r, then the smallest r with that
-    j, then the first s > j with g[s] < g[j].  The reported sums come from
-    the unscaled matrix.
+    The matrix is scaled to integers by the least common multiple of its
+    denominators, which keeps every inequality.  (i, t, r, t+1) is violated
+    exactly when row i's column step cost[i][t] - cost[i][t+1] exceeds row
+    r's, so one bottom-up pass that compares each row's steps with the next
+    row's (adjacent) or with their least value below (exhaustive) finds the
+    first row i of a violation.  For that row, the exhaustive witness fixes
+    r > i and lets g = row_i - row_r: the excess of (i, j, r, s) is
+    g[j] - g[s], so some s > j violates exactly when g[j] > min(g[j+1:]),
+    which a right-to-left running minimum decides for every j.  The witness
+    takes the smallest such j over all r, then the smallest r with that j,
+    then the first s > j with g[s] < g[j].  The reported sums come from the
+    unscaled matrix.
     """
     matrix = as_matrix(cost)
     if mode not in ("adjacent", "exhaustive"):
         raise ValueError(f"mode must be 'adjacent' or 'exhaustive', got {mode!r}")
     _, rows = _scaled_to_integers(matrix)
-    witness = _first_adjacent_violation(rows)
-    if witness is not None and mode == "exhaustive":
-        witness = _first_violation(rows)
+    witness = _first_violation(rows, mode == "exhaustive")
     if witness is None:
         return MongeReport(True)
     i, j, r, s = witness
@@ -128,35 +125,37 @@ def check_monge(
     )
 
 
-def _first_adjacent_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
-    """First violated (i, j, i + 1, j + 1) in row-major order."""
-    for i, (top, bottom) in enumerate(zip(rows, rows[1:])):
-        for j in range(len(top) - 1):
-            if top[j] + bottom[j + 1] > bottom[j] + top[j + 1]:
-                return i, j, i + 1, j + 1
-    return None
-
-
-def _first_violation(rows: list[list[int]]) -> tuple[int, int, int, int] | None:
-    """First violated (i, j, r, s) in (i, j, r, s) order; see check_monge.
-    check_monge calls it only after an adjacent violation, so it finds one."""
-    m, n = len(rows), len(rows[0])
-    for i in range(m - 1):
-        best: tuple[int, int, list[int]] | None = None  # (j, r, g)
-        for r in range(i + 1, m):
-            g = [a - b for a, b in zip(rows[i], rows[r])]
-            low, first = g[-1], None
-            for j in range(n - 2, -1, -1):
-                if g[j] > low:
-                    first = j
-                else:
-                    low = g[j]
-            if first is not None and (best is None or first < best[0]):
-                best = (first, r, g)
-        if best is not None:
-            j, r, g = best
-            s = next(s for s in range(j + 1, n) if g[s] < g[j])
-            return i, j, r, s
+def _first_violation(
+    rows: list[list[int]], exhaustive: bool
+) -> tuple[int, int, int, int] | None:
+    """First violated (i, j, i + 1, j + 1) in row-major order, or with
+    `exhaustive` first violated (i, j, r, s) in scan order; see check_monge."""
+    first = below = None  # below: the next row's steps, or their column minima
+    for i in range(len(rows) - 1, -1, -1):
+        steps = list(map(sub, rows[i], rows[i][1:]))
+        if below is not None and any(map(gt, steps, below)):
+            first = i
+        below = list(map(min, steps, below)) if exhaustive and below else steps
+    if first is None:
+        return None
+    i, top, n = first, rows[first], len(rows[0])
+    if not exhaustive:
+        bottom = rows[i + 1]
+        j = next(j for j in range(n - 1)
+                 if top[j] + bottom[j + 1] > bottom[j] + top[j + 1])
+        return i, j, i + 1, j + 1
+    best: tuple[int, int, list[int]] = (n, i, [])  # (j, r, g)
+    for r in range(i + 1, len(rows)):
+        g = [a - b for a, b in zip(top, rows[r])]
+        low = g[-1]
+        for j in range(n - 2, -1, -1):
+            if g[j] <= low:
+                low = g[j]
+            elif j < best[0]:
+                best = (j, r, g)
+    j, r, g = best
+    s = next(s for s in range(j + 1, n) if g[s] < g[j])
+    return i, j, r, s
 
 
 def _is_nonincreasing(v: Sequence[Fraction]) -> bool:

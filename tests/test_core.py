@@ -227,6 +227,10 @@ class TestTransportPlan:
         with pytest.raises(ValueError, match="negative"):
             TransportPlan({(0, 0): -1})
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(ValueError, match="cell index 0.5 is not an integer"):
+            TransportPlan({(0.5, 1.9): 1})
+
     @pytest.mark.parametrize(
         "entries",
         [
@@ -362,6 +366,12 @@ class TestComputeDuals:
         nw = north_west_corner(worked_instance)
         with pytest.raises(IndexError, match=r"hint cell \(%d, %d\) out of range" % hint):
             compute_duals_from_plan(worked_instance, nw, basis_hint=[hint])
+
+    def test_non_integral_hint_rejected(self, worked_instance):
+        # (0.5, 1) is in range, but read as (0, 1) it would fix the duals
+        nw = north_west_corner(worked_instance)
+        with pytest.raises(IndexError, match="hint cell index 0.5 is not an integer"):
+            compute_duals_from_plan(worked_instance, nw, basis_hint=[(0.5, 1)])
 
 
 class TestWeakDuality:

@@ -147,6 +147,10 @@ class TestLineCover:
         with pytest.raises(IndexError, match=message):
             line_cover(rows, cols, [1, 1], [1, 1])
 
+    def test_non_integral_line_rejected(self):
+        with pytest.raises(IndexError, match="covered row 0.7 is not an integer"):
+            line_cover([0.7], [], [1, 1], [1, 1])
+
 
 class TestMinWeightZeroCover:
     def test_worked_example_first_cover_weight_12(self, worked_instance):
@@ -650,6 +654,13 @@ class TestAggregate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expanded order"):
             aggregate_assignment_solution((0,), (0, 0), (0,))
+
+    @pytest.mark.parametrize(
+        "permutation, row_map, col_map", [([0, 0], [0, 1], [0, 1]), ([-1], [0], [0])]
+    )
+    def test_non_permutation_rejected(self, permutation, row_map, col_map):
+        with pytest.raises(ValueError, match=r"not a permutation of range\("):
+            aggregate_assignment_solution(permutation, row_map, col_map)
 
     def test_worked_example_expansion_equivalence(self, worked_instance):
         expanded, row_map, col_map = expand_to_assignment(worked_instance)

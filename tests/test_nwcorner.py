@@ -1,4 +1,6 @@
 import random
+import statistics
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,6 @@ from transopt import (
     problem_p_instance,
     sum_cost,
 )
-from transopt import nwcorner
 
 
 class TestNorthWestCorner:
@@ -141,15 +142,7 @@ class TestCheckMonge:
             violated += not report.holds
         assert 0 < violated < 600
 
-    def test_exhaustive_scans_only_after_an_adjacent_violation(self, monkeypatch):
-        scans = []
-        scan = nwcorner._first_violation
-
-        def counted(rows):
-            scans.append(rows)
-            return scan(rows)
-
-        monkeypatch.setattr(nwcorner, "_first_violation", counted)
+    def test_exhaustive_agrees_with_adjacent_at_the_same_cost(self):
         rng = random.Random(71)
         kinds = {"monge": 0, "perturbed": 0, "random": 0}
         for k in range(90):
@@ -163,15 +156,29 @@ class TestCheckMonge:
                 cost = [list(row) for row in convex_diff_cost(x, y, f)]
                 if kind == "perturbed":
                     cost[rng.randrange(m)][rng.randrange(n)] -= Fraction(rng.randint(1, 8), 2)
-            scans.clear()
             report = check_monge(cost, "exhaustive")
             assert report == brute_force_monge(cost)
             adjacent = check_monge(cost, "adjacent")
-            assert len(scans) == (0 if adjacent.holds else 1)
+            assert report.holds == adjacent.holds
             if not report.holds:
                 assert report.witness[0] <= adjacent.witness[0]
             kinds[kind] += not report.holds
         assert kinds["monge"] == 0 and 0 < kinds["perturbed"] < 30 and kinds["random"] > 0
+
+        # Square differences broken only in the last two rows: a scan over
+        # the rows above the first violation would cost O(m^2 n) here.
+        size = 300
+        late = [[(i - j) ** 2 for j in range(size)] for i in range(size)]
+        late[-2][0] += 3
+        seconds: dict[str, list[float]] = {"adjacent": [], "exhaustive": []}
+        for _ in range(5):
+            for mode, runs in seconds.items():
+                start = time.perf_counter()
+                assert check_monge(late, mode).witness[0] == size - 2
+                runs.append(time.perf_counter() - start)
+        assert statistics.median(seconds["exhaustive"]) <= 3 * statistics.median(
+            seconds["adjacent"]
+        )
 
     @pytest.mark.parametrize(
         "cost, witness",
