@@ -24,7 +24,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -208,8 +208,7 @@ def _certificate_json(
     report = OptimalityReport(True)
     if cert is None:
         m, n = instance.m, instance.n
-        row_major = ((i, j) for i in range(m) for j in range(n))
-        tree, _ = _spanning_forest(m, n, chain(plan.cells(), row_major))
+        tree, _ = _spanning_forest(m, n, chain(plan.cells(), product(range(m), range(n))))
         hints = [cell for cell in tree if cell not in plan.entries]
         try:
             cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
@@ -520,25 +519,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a result (a sum, a product, a dual) is held to the bound of its inputs,
+    # even where the interpreter's limit is off; each command builds its whole
+    # output before writing any, so nothing is printed when str() refuses one
+    saved, limit = sys.get_int_max_str_digits(), _digit_limit()
+    sys.set_int_max_str_digits(limit)
     try:
         return args.handler(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
-        # str() refuses an int of more digits than its limit.  Every input is
-        # held to that limit, but a value computed from inputs (a sum, a
-        # product, a dual) may exceed it; each command builds its whole
-        # output before writing any of it, so nothing has been printed.
         if "integer string conversion" not in str(exc):
             raise
         where = f"{args.file}: " if "file" in args else ""
         print(
-            f"error: {where}a number in the result exceeds the limit of "
-            f"{_digit_limit()} digits",
+            f"error: {where}a number in the result exceeds the limit of {limit} digits",
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

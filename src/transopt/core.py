@@ -144,9 +144,9 @@ def _read_number(token: str, limit: int) -> Fraction | None:
     """`Fraction(token)`, or None when its reduced numerator or denominator
     would have more than `limit` digits.
 
-    `int` reads no run of more digits than it prints, so only an exponent
-    can make `Fraction` compute a larger power of ten: a large one is
-    refused before `Fraction` reads the token.
+    Only an exponent can make `Fraction` compute a number with many more
+    digits than the token has, so a large one is refused before `Fraction`
+    reads the token.
     """
     exponent = re.search(_EXPONENT, token)
     if exponent is not None:
@@ -181,10 +181,9 @@ def as_fraction(value: Numberish) -> Fraction:
         return value
     if isinstance(value, str):
         try:
-            if value.isascii() and value.isdigit():
-                # int() reads no more digits than str() prints: within the bound
-                return Fraction(int(value))
             limit = _digit_limit()
+            if value.isascii() and value.isdigit() and len(value) <= limit:
+                return Fraction(int(value))
             number = _read_number(value, limit)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed number {value!r}") from None
@@ -425,10 +424,10 @@ def _scaled_to_integers(
 
 def _spanning_forest(
     m: int, n: int, cells: Iterable[Cell]
-) -> tuple[list[Cell], list[Cell]]:
-    """Split cells, taken in order, into those that join two components of the
-    bipartite graph on m row and n column nodes (a spanning forest) and those
-    that close a cycle."""
+) -> tuple[list[Cell], Cell | None]:
+    """The cells, taken in order, that join two components of the bipartite
+    graph on m row and n column nodes (a spanning forest), and the first cell
+    that closes a cycle, or None."""
     parent = list(range(m + n))
 
     def find(x: int) -> int:
@@ -438,14 +437,14 @@ def _spanning_forest(
         return x
 
     tree: list[Cell] = []
-    closing: list[Cell] = []
+    closing: Cell | None = None
     for i, j in cells:
         ri, cj = find(i), find(m + j)
-        if ri == cj:
-            closing.append((i, j))
-        else:
+        if ri != cj:
             parent[ri] = cj
             tree.append((i, j))
+        elif closing is None:
+            closing = (i, j)
     return tree, closing
 
 
@@ -545,8 +544,8 @@ def compute_duals_from_plan(
         cells.add((i, j))
 
     tree, closing = _spanning_forest(m, n, sorted(cells))
-    if closing:
-        i, j = closing[0]
+    if closing is not None:
+        i, j = closing
         raise CyclicBasisError(
             f"basis cells contain a cycle (closed at cell ({i}, {j})); "
             "not a basic solution"

@@ -90,14 +90,14 @@ def north_west_corner(instance: TransportInstance) -> TransportPlan:
 
 
 def check_monge(
-    cost: Sequence[Sequence[Numberish]], mode: str = "adjacent"
+    cost: Sequence[Sequence[Numberish]], mode: str = "exhaustive"
 ) -> MongeReport:
     """Test cost[i][j] + cost[r][s] <= cost[r][j] + cost[i][s] for i < r, j < s.
 
-    "adjacent" reports the first violated (i, j, i+1, j+1) in row-major
-    order, "exhaustive" the first violated (i, j, r, s) in scan order.  The
-    verdicts agree, as adjacent inequalities sum to arbitrary ones, and both
-    modes take O(mn) time and O(n) extra memory.
+    "exhaustive" (the default) reports the first violated (i, j, r, s) in
+    scan order, "adjacent" the first violated (i, j, i+1, j+1) in row-major
+    order.  The verdicts agree, as adjacent inequalities sum to arbitrary
+    ones, and both modes take O(mn) time and O(n) extra memory.
 
     The matrix is scaled to integers by the least common multiple of its
     denominators, which keeps every inequality.  (i, t, r, t+1) is violated
@@ -112,9 +112,9 @@ def check_monge(
     then the first s > j with g[s] < g[j].  The reported sums come from the
     unscaled matrix.
     """
-    matrix = as_matrix(cost)
     if mode not in ("adjacent", "exhaustive"):
         raise ValueError(f"mode must be 'adjacent' or 'exhaustive', got {mode!r}")
+    matrix = as_matrix(cost)
     _, rows = _scaled_to_integers(matrix)
     witness = _first_violation(rows, mode == "exhaustive")
     if witness is None:

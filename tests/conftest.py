@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from helpers import worked_example
@@ -16,3 +18,13 @@ def worked_plan():
     return TransportPlan(
         {(0, 2): 3, (1, 0): 3, (1, 3): 2, (2, 1): 2, (2, 2): 3, (2, 3): 2}
     )
+
+
+@pytest.fixture
+def int_limit_off():
+    """The interpreter's own int/str digit limit switched off, as
+    PYTHONINTMAXSTRDIGITS=0 does, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)

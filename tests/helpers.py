@@ -3,6 +3,7 @@ exact-count suites and hypothesis strategies for property tests."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -169,3 +170,23 @@ def small_matrices(
             max_size=m,
         )
     )
+
+
+@st.composite
+def zero_network_steps(
+    draw, max_dim: int = 7, max_total: int = 12, max_steps: int = 3
+) -> tuple[int, int, list[int], list[int], list[set[tuple[int, int]]]]:
+    """(m, n, supply, demand, patterns): integer marginals and zero patterns
+    of an m x n matrix; the first pattern builds a zero network, each later
+    one is a warm `_set_zeros` step."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    total = draw(st.integers(1, max_total))
+    supply = draw(compositions(total, m))
+    demand = draw(compositions(total, n))
+    cells = list(itertools.product(range(m), range(n)))
+    pattern = st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)).map(
+        lambda zero: {cell for cell, is_zero in zip(cells, zero) if is_zero}
+    )
+    patterns = draw(st.lists(pattern, min_size=1, max_size=1 + max_steps))
+    return m, n, supply, demand, patterns

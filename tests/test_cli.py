@@ -471,6 +471,22 @@ class TestSolveCommand:
                 f"error: {argv[1]}: a number in the result exceeds the limit of {limit} digits\n"
             )
 
+    def test_trace_over_the_digit_limit_prints_nothing(self, tmp_path, capsys):
+        # the plan cost 2/7 prints, but the trace's matrices are in units of
+        # 1/7, where 9 * 10**(limit - 1) becomes 63 * 10**(limit - 1): one
+        # digit over the limit, so no part of the report may be written
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "scaled.txt"
+        path.write_text(f"2 2\n9e{limit - 1} 1/7\n1/7 9e{limit - 1}\n1 1\n1 1\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "hungarian")
+        assert (code, out.splitlines()[-1], err) == (0, "total cost = 2/7", "")
+        for flags in (("--trace",), ("--trace", "--json")):
+            code, out, err = run(capsys, "solve", str(path), "--method", "hungarian", *flags)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {path}: a number in the result exceeds the limit of {limit} digits\n"
+            )
+
     def test_common_denominator_over_the_digit_limit(self, tmp_path, capsys):
         rng = random.Random(15)
         path = tmp_path / "deep.txt"
@@ -554,6 +570,30 @@ class TestSolveCommand:
             "line 1, column 1: instance 1 x 200000 has 200000 cells, over the limit of 1000"
         )
         assert peak < 2 << 20
+
+
+class TestInterpreterLimitOff:
+    """With the interpreter's own limit off (PYTHONINTMAXSTRDIGITS=0), inputs
+    and results are held to the default bound all the same."""
+
+    LIMIT = sys.int_info.default_max_str_digits
+
+    def test_long_digit_run_exit_2(self, tmp_path, capsys, int_limit_off):
+        path = tmp_path / "long_digits.txt"
+        path.write_text("1 1\n" + "7" * 5000 + "\n1\n1\n")
+        code, out, err = run(capsys, "check-monge", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: line 2, column 1: malformed number '777")
+        assert sys.get_int_max_str_digits() == 0  # main restores the interpreter's setting
+
+    def test_result_over_the_bound_exit_2(self, tmp_path, capsys, int_limit_off):
+        path = tmp_path / "long_cost.txt"
+        path.write_text(f"1 1\n1e{self.LIMIT - 1}\n10\n10\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "nw")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: a number in the result exceeds the limit of {self.LIMIT} digits\n"
+        )
 
 
 class TestCheckMongeCommand:
@@ -752,10 +792,10 @@ class TestEntryPoint:
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    def python(self, *args):
+    def python(self, *args, **environ):
         path = os.environ.get("PYTHONPATH")
         src = str(self.ROOT / "src")
-        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src, **environ)
         return subprocess.run(
             [sys.executable, *args], capture_output=True, env=env, cwd=self.ROOT, timeout=60
         )
@@ -781,3 +821,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == b""
         assert proc.stdout == GOLDEN_TRACE.read_bytes()
+
+    def test_interpreter_limit_off_by_the_environment(self, tmp_path):
+        limit = sys.int_info.default_max_str_digits
+        long_digits = tmp_path / "long_digits.txt"
+        long_digits.write_text("1 1\n" + "7" * 5000 + "\n1\n1\n")
+        long_cost = tmp_path / "long_cost.txt"
+        long_cost.write_text(f"1 1\n1e{limit - 1}\n10\n10\n")
+        for argv in (
+            ("check-monge", str(long_digits)),
+            ("solve", str(long_cost), "--method", "nw"),
+        ):
+            proc = self.python("-m", "transopt.cli", *argv, PYTHONINTMAXSTRDIGITS="0")
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr.startswith(f"error: {argv[1]}: ".encode())

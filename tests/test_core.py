@@ -1,7 +1,9 @@
+import itertools
 import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
-from transopt.core import _scaled_to_integers, as_matrix
+from transopt.core import _scaled_to_integers, _spanning_forest, as_matrix
 
 # Certificate for the worked example's optimal plan, solved by elimination
 # along its support tree with alpha[0] = 0; cross-checked by verify_optimal.
@@ -174,6 +176,18 @@ class TestAsFraction:
             DualCertificate(["-1e-5000"], [0])
         with pytest.raises(ValueError, match="'1e5000'"):
             TransportPlan({(0, 0): "1e5000"})
+
+    def test_plain_digits_are_held_to_the_bound_with_the_interpreter_limit_off(
+        self, int_limit_off
+    ):
+        # int() reads any run of digits here; the bound is as_fraction's own
+        limit = sys.int_info.default_max_str_digits
+        assert as_fraction("7" * limit) == int("7" * limit)
+        for token in ("7" * (limit + 1), "7" * 5000, "7" * 5000 + "/1"):
+            with pytest.raises(
+                ValueError, match=f"^number '7+(/1)?' exceeds the limit of {limit} digits$"
+            ):
+                as_fraction(token)
 
     def test_huge_exponent_is_refused_before_its_power_is_computed(self):
         # 10**999999999 would take Fraction more than ten seconds
@@ -372,6 +386,30 @@ class TestComputeDuals:
         nw = north_west_corner(worked_instance)
         with pytest.raises(IndexError, match="hint cell index 0.5 is not an integer"):
             compute_duals_from_plan(worked_instance, nw, basis_hint=[(0.5, 1)])
+
+
+class TestSpanningForest:
+    def test_tree_and_the_first_cell_that_closes_a_cycle(self):
+        cells = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1)]
+        assert _spanning_forest(2, 2, cells) == ([(0, 0), (0, 1), (1, 0)], (1, 1))
+        assert _spanning_forest(2, 2, cells[:3]) == ([(0, 0), (0, 1), (1, 0)], None)
+
+    def test_cells_that_close_a_cycle_are_not_kept(self):
+        # `solve --method nw --certificate` finds the basis hints of a
+        # degenerate plan by a scan of its cells and then all m * n cells
+        n = 300
+        diagonal = [(k, k) for k in range(n)]
+        tracemalloc.start()
+        try:
+            tree, closing = _spanning_forest(
+                n, n, itertools.chain(diagonal, itertools.product(range(n), range(n)))
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 2 * n - 1
+        assert closing == (0, 0)
+        assert peak < 1 << 20
 
 
 class TestWeakDuality:

@@ -90,6 +90,16 @@ class TestCheckMonge:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             check_monge([[1]], "both")
+        # before any cell is read
+        with pytest.raises(ValueError, match="^mode must be 'adjacent' or 'exhaustive'"):
+            check_monge([["x"]], "both")
+
+    def test_default_mode_is_exhaustive(self):
+        # (0, 0, 1, 1) holds, (0, 0, 1, 2) and (0, 1, 1, 2) are violated
+        matrix = [[1, 1, 0], [0, 0, 0]]
+        assert check_monge(matrix, "adjacent").witness == (0, 1, 1, 2)
+        assert check_monge(matrix, "exhaustive").witness == (0, 0, 1, 2)
+        assert check_monge(matrix) == check_monge(matrix, "exhaustive")
 
     @given(small_matrices())
     @settings(max_examples=150)

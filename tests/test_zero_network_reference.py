@@ -2,9 +2,10 @@
 
 `ZeroFlowNetwork` finds each cover step's max flow and reads the cover off
 its canonical min cut, and the solver's own check compares two numbers from
-that one flow.  Here each network is also built in networkx, on seeded zero
-patterns with m, n <= 7 and integer marginals, and then moved through a
-warm `_set_zeros` sequence.  After every step:
+that one flow.  Here each network is also built in networkx, on zero
+patterns with m, n <= 7 and integer marginals (seeded, and drawn by
+hypothesis), and then moved through a warm `_set_zeros` sequence.  After
+every step:
 
 - `max_flow()` equals `networkx.maximum_flow_value`;
 - `source_side()` equals the set of nodes that networkx's own residual graph
@@ -14,18 +15,28 @@ warm `_set_zeros` sequence.  After every step:
 - for m + n <= 12, the min-cut cover covers every zero and weighs the least
   of all row and column subsets that do, found by brute force: the weighted
   König–Egerváry equality itself.
+
+Every cover step of a solve is checked as well, on the instances of the
+benchmark's Hungarian workloads: each iteration's flow value equals the
+networkx max flow on that iteration's zeros and the cover's weight, and the
+cover covers every zero.
 """
 
 import itertools
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import composition
-from transopt import ZeroFlowNetwork
+from helpers import composition, zero_network_steps
+from transopt import ZeroFlowNetwork, new_instance, solve_weighted_hungarian
 
 nx = pytest.importorskip("networkx")
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def zero_matrix(m, n, zeros):
@@ -34,17 +45,23 @@ def zero_matrix(m, n, zeros):
     )
 
 
-def networkx_reference(m, n, zeros, supply, demand):
-    """Max-flow value and the nodes reachable from the source in the
-    residual graph of networkx's own maximum flow; node numbers as in
+def zero_graph(m, n, zeros, supply, demand):
+    """The zero network as a networkx graph; node numbers as in
     ZeroFlowNetwork (source 0, rows 1..m, columns m+1..m+n, sink m+n+1)."""
-    source, sink = 0, m + n + 1
     graph = nx.DiGraph()
     graph.add_nodes_from(range(m + n + 2))
-    graph.add_edges_from((source, 1 + i, {"capacity": s}) for i, s in enumerate(supply))
-    graph.add_edges_from((1 + m + j, sink, {"capacity": d}) for j, d in enumerate(demand))
+    graph.add_edges_from((0, 1 + i, {"capacity": s}) for i, s in enumerate(supply))
+    graph.add_edges_from((1 + m + j, m + n + 1, {"capacity": d}) for j, d in enumerate(demand))
     unbounded = sum(supply) + 1
     graph.add_edges_from((1 + i, 1 + m + j, {"capacity": unbounded}) for i, j in zeros)
+    return graph
+
+
+def networkx_reference(m, n, zeros, supply, demand):
+    """Max-flow value and the nodes reachable from the source in the
+    residual graph of networkx's own maximum flow."""
+    source, sink = 0, m + n + 1
+    graph = zero_graph(m, n, zeros, supply, demand)
     value = nx.maximum_flow_value(graph, source, sink)
     residual = nx.algorithms.flow.edmonds_karp(graph, source, sink)
     assert residual.graph["flow_value"] == value
@@ -80,6 +97,18 @@ def check(network, m, n, zeros, supply, demand):
         assert cover.weight == brute_force_cover_weight(m, n, zeros, supply, demand)
 
 
+def check_steps(m, n, supply, demand, patterns):
+    """Build the network on the first zero pattern, move it to each later
+    one by a warm `_set_zeros` step, and check it after every step."""
+    network = ZeroFlowNetwork(
+        zero_matrix(m, n, patterns[0]), list(map(Fraction, supply)), list(map(Fraction, demand))
+    )
+    check(network, m, n, patterns[0], supply, demand)
+    for zeros in patterns[1:]:
+        network._set_zeros(sorted(zeros))
+        check(network, m, n, zeros, supply, demand)
+
+
 def test_flow_and_cut_match_networkx_and_brute_force():
     rng = random.Random(9)
     brute_forced = set()
@@ -89,15 +118,36 @@ def test_flow_and_cut_match_networkx_and_brute_force():
         supply, demand = composition(rng, total, m), composition(rng, total, n)
         density = rng.choice((0.2, 0.4, 0.7))
         cells = list(itertools.product(range(m), range(n)))
-        zeros = {cell for cell in cells if rng.random() < density}
-        network = ZeroFlowNetwork(
-            zero_matrix(m, n, zeros), list(map(Fraction, supply)), list(map(Fraction, demand))
-        )
-        check(network, m, n, zeros, supply, demand)
+        patterns = [{cell for cell in cells if rng.random() < density}]
         for _ in range(3):
             # a warm step: some zeros stop being zero, some cells become zero
-            zeros = {cell for cell in cells if (cell in zeros) != (rng.random() < 0.25)}
-            network._set_zeros(sorted(zeros))
-            check(network, m, n, zeros, supply, demand)
+            patterns.append(
+                {cell for cell in cells if (cell in patterns[-1]) != (rng.random() < 0.25)}
+            )
+        check_steps(m, n, supply, demand, patterns)
         brute_forced.add(m + n <= 12)
     assert brute_forced == {False, True}
+
+
+@given(zero_network_steps())
+@settings(max_examples=60, deadline=None)
+def test_drawn_networks_match_networkx_and_brute_force(drawn):
+    check_steps(*drawn)
+
+
+@pytest.mark.parametrize("workload, count", [("hungarian_wide", None), ("hungarian_narrow", 3)])
+def test_every_cover_step_of_the_benchmark_pools(workload, count):
+    # the pool generator is run from its source file, which leaves no
+    # bytecode in the benchmark's directory
+    pools = runpy.run_path(str(WORKLOADS))
+    for pooled in pools["make_pool"](workload, pools["HELD_OUT_SEED"])[:count]:
+        m, n, supply, demand = pooled.m, pooled.n, pooled.supply, pooled.demand
+        _, _, trace = solve_weighted_hungarian(new_instance(pooled.cost, supply, demand))
+        for it in trace.iterations:
+            zeros = [(i, j) for i, row in enumerate(it.matrix) for j, v in enumerate(row) if v == 0]
+            graph = zero_graph(m, n, zeros, supply, demand)
+            value = nx.maximum_flow_value(
+                graph, 0, m + n + 1, flow_func=nx.algorithms.flow.boykov_kolmogorov
+            )
+            assert it.flow_value == value == it.cover.weight
+            assert all(i in it.cover.rows or j in it.cover.cols for i, j in zeros)
