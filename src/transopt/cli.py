@@ -34,6 +34,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _digit_limit,
+    _quoted,
     _spanning_forest,
     as_fraction,
     compute_duals_from_plan,
@@ -150,7 +151,7 @@ def parse_instance(text: str) -> TransportInstance:
     header = _parse_row(first, 2, "header line")
     for k, value in enumerate(header):
         if value.denominator != 1 or value < 1:
-            reason = f"dimension must be a positive integer, got {raw.split()[k]!r}"
+            reason = f"dimension must be a positive integer, got {_quoted(raw.split()[k])}"
             raise ParseError(lineno, _columns(raw)[k], reason)
     m, n = int(header[0]), int(header[1])
     # the m cost rows, the supply line and the demand line; over the cap they
@@ -407,7 +408,7 @@ def _survey_size(token: str) -> int:
         size = int(token)
     except ValueError:
         size = 0
-    _require(size >= 1, f"survey sizes must be positive integers, got {token!r}")
+    _require(size >= 1, f"survey sizes must be positive integers, got {_quoted(token)}")
     return size
 
 

@@ -68,7 +68,8 @@ def _value_type(cls: type) -> type:
     defaults, then `__post_init__` where the class defines one), `__eq__` and
     `__hash__` over the tuple of fields (equal only to the same class),
     `Name(field=value, ...)` as `__repr__`, and `__setattr__`/`__delattr__`
-    that raise AttributeError.  This stands in for
+    that raise AttributeError; a method the class body defines itself is
+    kept instead of the generated one.  This stands in for
     `dataclass(frozen=True)`, whose import and generated code cost every CLI
     command several milliseconds.
     """
@@ -119,7 +120,8 @@ def _value_type(cls: type) -> type:
         raise AttributeError(f"cannot delete field {attr!r}")
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
-        setattr(cls, method.__name__, method)
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
     cls.__match_args__ = fields
     return cls
 
@@ -127,6 +129,20 @@ def _value_type(cls: type) -> type:
 # The exponent that ends a number as `Fraction` reads it: its sign and digits.
 # Compiled on first use, since plain digit tokens never need it.
 _EXPONENT = r"[eE]([-+]?)(\d[\d_]*)\s*\Z"
+
+# A run of digits with single underscores between them, as `int` reads one.
+_DIGIT_RUN = r"\d(?:_?\d)*"
+
+# Longest token an error message quotes whole; a longer one is cut to this.
+_QUOTED = 24
+
+
+def _quoted(token: str) -> str:
+    """`repr(token)`, or for a token longer than `_QUOTED` characters the repr
+    of its start and its length, so an error message stays short."""
+    if len(token) <= _QUOTED:
+        return repr(token)
+    return f"{token[:_QUOTED]!r}... ({len(token)} characters)"
 
 
 def _digit_limit() -> int:
@@ -141,13 +157,21 @@ def _fits(n: int, limit: int) -> bool:
 
 
 def _read_number(token: str, limit: int) -> Fraction | None:
-    """`Fraction(token)`, or None when its reduced numerator or denominator
-    would have more than `limit` digits.
+    """`Fraction(token)`, or None when the token has a run of more than
+    `limit` digits or its reduced numerator or denominator would have more
+    than `limit` digits.
 
-    Only an exponent can make `Fraction` compute a number with many more
-    digits than the token has, so a large one is refused before `Fraction`
-    reads the token.
+    `int`, which `Fraction` reads each run with, refuses a longer run where
+    the interpreter's limit is on and takes quadratic time over it where the
+    limit is off, so such a run is refused before `Fraction` sees it, the
+    same way under either setting.  Only an exponent can make `Fraction`
+    compute a number with many more digits than the token has, so a large
+    one is refused before `Fraction` reads the token too.
     """
+    if len(token) > limit and any(
+        len(run) - run.count("_") > limit for run in re.findall(_DIGIT_RUN, token)
+    ):
+        return None
     exponent = re.search(_EXPONENT, token)
     if exponent is not None:
         sign, digits = exponent.groups()
@@ -173,9 +197,10 @@ def as_fraction(value: Numberish) -> Fraction:
 
     Accepts ints, Fractions, finite floats (their exact binary value) and
     strings `Fraction` reads ("3", "-5/7", "1.5e3"); a string is refused with
-    a ValueError naming it when `Fraction` refuses it or when its reduced
-    numerator or denominator would have more digits than `str` prints of an
-    int (`sys.get_int_max_str_digits()`, or its default where that is off).
+    a ValueError quoting it (only its start, if it is long) when `Fraction`
+    refuses it, or when a run of its digits, or its reduced numerator or
+    denominator, would have more digits than `str` prints of an int
+    (`sys.get_int_max_str_digits()`, or its default where that is off).
     """
     if type(value) is Fraction:  # the common case, before isinstance's ABCMeta check
         return value
@@ -186,9 +211,9 @@ def as_fraction(value: Numberish) -> Fraction:
                 return Fraction(int(value))
             number = _read_number(value, limit)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"malformed number {value!r}") from None
+            raise ValueError(f"malformed number {_quoted(value)}") from None
         if number is None:
-            raise ValueError(f"number {value!r} exceeds the limit of {limit} digits")
+            raise ValueError(f"number {_quoted(value)} exceeds the limit of {limit} digits")
         return number
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -243,16 +268,19 @@ class TransportInstance:
         return len(self.demand)
 
 
+@_value_type
 class TransportPlan:
     """A sparse flow assignment; only strictly positive quantities are stored.
-    Each cell may be given once: a repeated cell raises ValueError."""
+    Each cell may be given once: a repeated cell raises ValueError.
 
-    __slots__ = ("_entries",)
+    `entries` is given as a mapping or as (cell, quantity) pairs and kept as
+    a read-only mapping of cell to Fraction.
+    """
 
-    def __init__(
-        self,
-        entries: Mapping[Cell, Numberish] | Iterable[tuple[Cell, Numberish]] = (),
-    ) -> None:
+    entries: Mapping[Cell, Fraction] = ()
+
+    def __post_init__(self) -> None:
+        entries = self.entries
         items = entries.items() if isinstance(entries, Mapping) else entries
         clean: dict[Cell, Fraction] = {}
         seen: set[Cell] = set()
@@ -267,32 +295,23 @@ class TransportPlan:
             seen.add(cell)
             if q > 0:
                 clean[cell] = q
-        self._entries = MappingProxyType(clean)
-
-    @property
-    def entries(self) -> Mapping[Cell, Fraction]:
-        return self._entries
+        object.__setattr__(self, "entries", MappingProxyType(clean))
 
     def quantity(self, i: int, j: int) -> Fraction:
-        return self._entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), Fraction(0))
 
     def cells(self) -> list[Cell]:
         """Support cells in row-major order."""
-        return sorted(self._entries)
+        return sorted(self.entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TransportPlan):
-            return dict(self._entries) == dict(other._entries)
-        return NotImplemented
+        return len(self.entries)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._entries.items())))
+        return hash(tuple(sorted(self.entries.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({i}, {j}): {q}" for (i, j), q in sorted(self._entries.items()))
+        body = ", ".join(f"({i}, {j}): {q}" for (i, j), q in sorted(self.entries.items()))
         return f"TransportPlan({{{body}}})"
 
 

@@ -181,6 +181,11 @@ class ZeroFlowNetwork:
     the canonical cut is the same for every maximum flow, so covers and flow
     values match a fresh network's; only the flow on the zero cells may
     differ where several maximum flows exist.
+
+    Tests reach the network through its public queries and two private
+    seams: `_set_zeros`, which moves it to a zero pattern given as cells,
+    and `_clear_flow`, which a network calls once while it is built and
+    again only when a step restarts its flow.
     """
 
     def __init__(
@@ -208,17 +213,17 @@ class ZeroFlowNetwork:
     def _clear_flow(self) -> None:
         """Residual graph of the zero flow with marginal arcs only."""
         size = self.sink + 1
-        # residual[u][v] = remaining capacity of arc u -> v
-        self.residual = [[Fraction(0)] * size for _ in range(size)]
+        # _residual[u][v] = remaining capacity of arc u -> v
+        self._residual = [[Fraction(0)] * size for _ in range(size)]
         for i in range(self.m):
-            self.residual[self.source][1 + i] = self.supply[i]
+            self._residual[self.source][1 + i] = self.supply[i]
         for j in range(self.n):
-            self.residual[1 + self.m + j][self.sink] = self.demand[j]
+            self._residual[1 + self.m + j][self.sink] = self.demand[j]
 
     def _arc_flow(self, cell: Cell) -> Fraction:
         # flow on a zero arc equals the reverse residual it created
         i, j = cell
-        return self.residual[1 + self.m + j][1 + i]
+        return self._residual[1 + self.m + j][1 + i]
 
     def update_zeros(self, reduced: Matrix) -> None:
         """Make the zero arcs those of `reduced`, keeping the current flow."""
@@ -245,11 +250,11 @@ class ZeroFlowNetwork:
         if any(self._arc_flow(cell) > 0 for cell in dropped):
             self._clear_flow()
         for i, j in dropped:
-            self.residual[1 + i][1 + self.m + j] = Fraction(0)
+            self._residual[1 + i][1 + self.m + j] = Fraction(0)
         # no flow reaches a zero arc's capacity, so a kept arc's forward
         # residual may be reset to it; its flow stays in the reverse residual
         for i, j in zero_cells:
-            self.residual[1 + i][1 + self.m + j] = self._unbounded
+            self._residual[1 + i][1 + self.m + j] = self._unbounded
         self.zero_cells = zero_cells
         self._flow_value: Fraction | None = None
         self._reached: frozenset[int] = frozenset()
@@ -263,12 +268,12 @@ class ZeroFlowNetwork:
         labels everything the source reaches.
         """
         sink = self.sink
-        parent = [-1] * len(self.residual)
+        parent = [-1] * len(self._residual)
         parent[self.source] = self.source
         queue = deque([self.source])
         while queue:
             u = queue.popleft()
-            for v, cap in enumerate(self.residual[u]):
+            for v, cap in enumerate(self._residual[u]):
                 if cap > 0 and parent[v] < 0:
                     parent[v] = u
                     if v == sink:
@@ -294,13 +299,13 @@ class ZeroFlowNetwork:
             while v != self.source:
                 path.append((parent[v], v))
                 v = parent[v]
-            bottleneck = min(self.residual[u][v] for u, v in path)
+            bottleneck = min(self._residual[u][v] for u, v in path)
             for u, v in path:
-                self.residual[u][v] -= bottleneck
-                self.residual[v][u] += bottleneck
+                self._residual[u][v] -= bottleneck
+                self._residual[v][u] += bottleneck
         self._reached = frozenset(v for v, p in enumerate(parent) if p >= 0)
         self._flow_value = sum(
-            (cap - left for cap, left in zip(self.supply, self.residual[self.source][1:])),
+            (cap - left for cap, left in zip(self.supply, self._residual[self.source][1:])),
             Fraction(0),
         )
         return self._flow_value

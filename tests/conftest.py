@@ -1,6 +1,19 @@
 import sys
+import warnings
 
 import pytest
+
+# When a hypothesis test fails, hypothesis's pytest plugin imports this module
+# to suggest a patch, and its libcst import raises a DeprecationWarning, which
+# pyproject's filters make an error: pytest then stops with INTERNALERROR and
+# the tests after the failure never run.  Importing it once here, with that
+# warning ignored, leaves the failure to be reported as one.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from helpers import worked_example
 from transopt import TransportPlan

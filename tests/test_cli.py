@@ -452,6 +452,19 @@ class TestSolveCommand:
             assert (code, out) == (2, "")
             assert err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("token", ["7" * 2**20, "x" * 2**20], ids=["digits", "letters"])
+    def test_over_long_token_is_quoted_by_its_start(self, tmp_path, capsys, monkeypatch, token):
+        # a 1 MB token gives a short error line, not a 1 MB one
+        monkeypatch.chdir(tmp_path)
+        Path("big.txt").write_text(f"1 1\n{token}\n1\n1\n")
+        excerpt = f"'{token[:24]}'... ({len(token)} characters)"
+        for argv in (("solve", "big.txt", "--method", "nw"), ("check-monge", "big.txt")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: big.txt: line 2, column 1: ")
+            assert excerpt in err
+            assert len(err.encode()) < 200
+
     def test_result_over_the_digit_limit_exit_2(self, tmp_path, capsys):
         # every input has at most `limit` digits, but the plan cost and the
         # Monge sum have one more, which str() refuses to print
@@ -583,7 +596,10 @@ class TestInterpreterLimitOff:
         path.write_text("1 1\n" + "7" * 5000 + "\n1\n1\n")
         code, out, err = run(capsys, "check-monge", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {path}: line 2, column 1: malformed number '777")
+        assert err == (
+            f"error: {path}: line 2, column 1: number '{'7' * 24}'... (5000 characters) "
+            f"exceeds the limit of {self.LIMIT} digits\n"
+        )
         assert sys.get_int_max_str_digits() == 0  # main restores the interpreter's setting
 
     def test_result_over_the_bound_exit_2(self, tmp_path, capsys, int_limit_off):

@@ -185,9 +185,37 @@ class TestAsFraction:
         assert as_fraction("7" * limit) == int("7" * limit)
         for token in ("7" * (limit + 1), "7" * 5000, "7" * 5000 + "/1"):
             with pytest.raises(
-                ValueError, match=f"^number '7+(/1)?' exceeds the limit of {limit} digits$"
+                ValueError,
+                match=rf"^number '7{{24}}'\.\.\. \({len(token)} characters\) "
+                f"exceeds the limit of {limit} digits$",
             ):
                 as_fraction(token)
+
+    @pytest.mark.parametrize("limit_off", [False, True], ids=["limit_on", "limit_off"])
+    def test_a_digit_run_over_the_limit_is_refused_under_either_setting(
+        self, request, limit_off
+    ):
+        # int() refuses such a run where the interpreter's limit is on, and
+        # reads it in quadratic time where it is off; either way as_fraction
+        # refuses it, with the same message, before Fraction reads the token
+        if limit_off:
+            request.getfixturevalue("int_limit_off")
+        limit = digit_limit()
+        run = "7" * (limit + 1)
+        for token in (
+            run, "0" * limit + "1", "0" * limit + "1/1", f"-{run} ", f"1/{run}",
+            f"1.{run}", f"{run}.5", f"1e{'0' * limit}1", "1_" * limit + "1",
+        ):
+            with pytest.raises(ValueError, match=f"exceeds the limit of {limit} digits$"):
+                as_fraction(token)
+        # runs of at most `limit` digits are read, however many the token has
+        assert as_fraction("0" * (limit - 1) + "1/1") == 1
+        assert as_fraction("1_" * (limit - 1) + "1") == int("1" * limit)
+        assert as_fraction(f"{'1' * limit}.{'0' * limit}") == int("1" * limit)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            as_fraction("7" * 400_000 + "/1")
+        assert time.perf_counter() - started < 1
 
     def test_huge_exponent_is_refused_before_its_power_is_computed(self):
         # 10**999999999 would take Fraction more than ten seconds

@@ -1,5 +1,6 @@
-"""Behaviour of the ten immutable value types: construction, defaults,
-equality, hashing, immutability and repr."""
+"""Behaviour of the immutable value types: construction, defaults,
+equality, hashing, immutability and repr.  The ten in `CASES` are plain
+records; `TransportPlan` is a record with its own repr and hash."""
 
 from fractions import Fraction
 
@@ -154,3 +155,23 @@ def test_lists_normalise_to_fraction_tuples():
         assert all(type(v) is Fraction for v in getattr(spec, name))
     assert spec.x == (F(0), F(1, 2))
     assert spec == ProblemPSpec((F(0), F(1, 2)), (F(1),), (F(1),), (F(1),), shape)
+
+
+def test_transport_plan_is_a_record_with_its_own_repr_and_hash():
+    plan = TransportPlan(entries=[((1, 0), "1/2"), ((0, 0), 1), ((0, 1), 0)])
+    assert plan == TransportPlan({(0, 0): 1, (1, 0): F(1, 2)})
+    assert plan != TransportPlan({(0, 0): 1})
+    assert TransportPlan.__match_args__ == ("entries",)
+    assert dict(plan.entries) == {(0, 0): F(1), (1, 0): F(1, 2)}
+    # the class body's __repr__ and __hash__, not the generated ones
+    assert repr(plan) == "TransportPlan({(0, 0): 1, (1, 0): 1/2})"
+    assert hash(plan) == hash((((0, 0), F(1)), ((1, 0), F(1, 2))))
+    assert TransportPlan() == TransportPlan({}) and len(TransportPlan()) == 0
+    with pytest.raises(AttributeError):
+        plan.entries = {}
+    with pytest.raises(AttributeError):
+        del plan.entries
+    with pytest.raises(TypeError):
+        plan.entries[(0, 1)] = F(1)
+    with pytest.raises(TypeError):
+        TransportPlan({}, {})
