@@ -24,20 +24,17 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    CyclicBasisError,
     DualCertificate,
     OptimalityReport,
     TransportInstance,
     TransportPlan,
+    _basis_duals,
     _digit_limit,
     _quoted,
-    _spanning_forest,
     as_fraction,
-    compute_duals_from_plan,
     new_instance,
     plan_cost,
     verify_optimal,
@@ -200,24 +197,12 @@ def _certificate_json(
 ) -> dict:
     """The certificate block: the solver's duals, which
     `solve_weighted_hungarian` verified before returning, or, for a plan that
-    came without any, duals computed from its basis and checked here.
-
-    Degenerate plans get the lexicographically first zero-flow cells that
-    connect the support graph into a spanning tree.
+    came without any, duals from its basis (`core._basis_duals`), checked here.
     """
     hints: list[tuple[int, int]] = []
     report = OptimalityReport(True)
     if cert is None:
-        m, n = instance.m, instance.n
-        tree, _ = _spanning_forest(m, n, chain(plan.cells(), product(range(m), range(n))))
-        hints = [cell for cell in tree if cell not in plan.entries]
-        try:
-            cert = compute_duals_from_plan(instance, plan, basis_hint=hints)
-        except CyclicBasisError:
-            return {
-                "available": False,
-                "reason": "plan support contains a cycle; not a basic solution",
-            }
+        cert, hints = _basis_duals(instance, plan)
         report = verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
@@ -311,9 +296,7 @@ def _text(doc: dict) -> str:
     lines.extend(f"  ({e['row']}, {e['col']}) = {e['quantity']}" for e in doc["plan"])
     lines.append(f"total cost = {doc['cost']}")
     cert = doc.get("certificate")
-    if cert is not None and not cert["available"]:
-        lines.append(f"certificate: unavailable ({cert['reason']})")
-    elif cert is not None:
+    if cert is not None:
         lines.append("certificate:")
         lines.append("  alpha: " + " ".join(cert["alpha"]))
         lines.append("  beta: " + " ".join(cert["beta"]))

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, product
 from operator import index, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -594,3 +595,16 @@ def compute_duals_from_plan(
     alpha = tuple(potential[:m])
     beta = tuple(potential[m:])
     return DualCertificate(alpha, beta)
+
+
+def _basis_duals(
+    instance: TransportInstance, plan: TransportPlan
+) -> tuple[DualCertificate, list[Cell]]:
+    """Duals for a plan that came without any, and the zero-flow cells that
+    complete its support to a basis: the lexicographically first cells that
+    connect it, taken after the plan's own.  NW corner and oracle plans are
+    basic; a plan whose support has a cycle raises CyclicBasisError."""
+    m, n = instance.m, instance.n
+    tree, _ = _spanning_forest(m, n, chain(plan.cells(), product(range(m), range(n))))
+    hints = [cell for cell in tree if cell not in plan.entries]
+    return compute_duals_from_plan(instance, plan, hints), hints

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from transopt import BalanceError, TransportPlan, cli, hungarian, verify_optimal
+from transopt import BalanceError, CyclicBasisError, TransportPlan, cli, hungarian, verify_optimal
 from transopt.cli import (
     ParseError,
     format_rational,
@@ -387,23 +387,19 @@ class TestSolveCommand:
             "cost": "3",
         }
 
-    def test_certificate_unavailable_for_cyclic_plan(self, tmp_path, monkeypatch, capsys):
-        # The oracle returns basic plans; a stub stands in for one that is not.
+    def test_cyclic_plan_is_an_internal_fault(self, tmp_path, monkeypatch, capsys):
+        # nw and oracle plans are basic (tests/test_core.py pins it); a stub
+        # stands in for one that is not, a fault that ends in a traceback
         path = tmp_path / "flat.txt"
         path.write_text("2 2\n0 0\n0 0\n2 2\n2 2\n")
         cyclic = OracleResult(
             Fraction(0), TransportPlan({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}), 1
         )
         monkeypatch.setattr(cli, "enumerate_optimum", lambda instance: cyclic)
-        reason = "plan support contains a cycle; not a basic solution"
-        code, out, _ = run(capsys, "solve", str(path), "--method", "oracle", "--certificate")
-        assert code == 0
-        assert out.endswith(f"total cost = 0\ncertificate: unavailable ({reason})\n")
-        code, out, _ = run(
-            capsys, "solve", str(path), "--method", "oracle", "--certificate", "--json"
-        )
-        assert code == 0
-        assert json.loads(out)["certificate"] == {"available": False, "reason": reason}
+        for json_flag in ([], ["--json"]):
+            with pytest.raises(CyclicBasisError, match=r"closed at cell \(1, 1\)"):
+                cli.main(["solve", str(path), "--method", "oracle", "--certificate", *json_flag])
+            assert capsys.readouterr().out == ""
 
     def test_oracle_guard_gives_exit_3(self, capsys):
         code, _, err = run(capsys, "solve", str(WORKED), "--method", "oracle")

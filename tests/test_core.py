@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import balanced_instances, random_feasible_plan, random_instance
@@ -107,14 +107,36 @@ def digit_limit():
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+# a token with an exponent: everything up to its E, then the exponent's sign,
+# digits (underscores kept, so a misplaced one stays misplaced) and trailing space
+EXPONENT_TOKEN = re.compile(r"(.*[eE])([-+]?)([\d_]+)(\s*)", re.DOTALL)
+
+
 def read_like_fraction(token):
     """`Fraction(token)` when this interpreter reads it and its reduced
-    numerator and denominator have at most `digit_limit()` digits, else None."""
+    numerator and denominator have at most `digit_limit()` digits, else None.
+
+    An exponent far past the limit is decided without computing its power: a
+    zero mantissa reads as 0, and any other, shorter than the k characters up
+    to the E, has a numerator and a denominator below 10**k, so it leaves
+    10**(|exponent| - k) or more in the numerator (exponent > 0) or the
+    denominator (exponent < 0)."""
+    limit = digit_limit()
+    shape = EXPONENT_TOKEN.fullmatch(token)
+    if shape:
+        head, sign, digits, tail = shape.groups()
+        try:
+            # the exponent's digits zeroed: the same form, read with power 1
+            Fraction(head + sign + re.sub(r"\d", "0", digits) + tail)
+        except (ValueError, ZeroDivisionError):
+            return None
+        if abs(int(digits)) >= limit + len(head):
+            return Fraction(0) if Fraction(head[:-1]) == 0 else None
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
-    bound = 10 ** digit_limit()
+    bound = 10 ** limit
     return value if abs(value.numerator) < bound and value.denominator < bound else None
 
 
@@ -141,6 +163,9 @@ def number_tokens(draw):
 
 class TestAsFraction:
     @given(number_tokens() | st.text("0123456789+-/.eE_ x\u0661", max_size=10))
+    @example("1e9999999")
+    @example("0e9999999")
+    @example("1e-9999999")
     @settings(max_examples=400, deadline=None)
     def test_reads_a_token_as_fraction_does_within_the_digit_limit(self, token):
         expected = read_like_fraction(token)
@@ -414,6 +439,18 @@ class TestComputeDuals:
         nw = north_west_corner(worked_instance)
         with pytest.raises(IndexError, match="hint cell index 0.5 is not an integer"):
             compute_duals_from_plan(worked_instance, nw, basis_hint=[(0.5, 1)])
+
+
+class TestBasicPlans:
+    def test_nw_and_oracle_plans_have_acyclic_support(self):
+        # `solve --certificate` completes these plans' bases with
+        # `_basis_duals`, which a cycle in the support would make fail; costs
+        # 0..2 give many ties, so the oracle picks among many optima
+        rng = random.Random(19)
+        for _ in range(1000):
+            inst = random_instance(rng, max_dim=4, max_total=12, cost_low=0, cost_high=2)
+            for plan in (north_west_corner(inst), enumerate_optimum(inst).plan):
+                assert _spanning_forest(inst.m, inst.n, plan.cells())[1] is None, (inst, plan)
 
 
 class TestSpanningForest:
