@@ -11,10 +11,11 @@ feasible plan supported on zeros, and the duals are a certificate.
 
 The loop's only state is those duals, alpha and beta: the reduced matrix is
 by definition cost[i][j] - alpha[i] - beta[j] (the primal-dual method of
-Ford and Fulkerson), so a delta step raises alpha on uncovered rows, lowers
-beta on covered columns, and hands the network its new zero cells with
-`ZeroFlowNetwork._set_zeros`.  One network serves a solve, so each max flow
-resumes from the previous one instead of starting from zero.
+Ford and Fulkerson), and so are its zero cells.  A delta step raises alpha
+on uncovered rows and lowers beta on covered columns, and the solver hands the
+network the new reduced matrix with `ZeroFlowNetwork.update_zeros`.  One
+network serves a solve, so each max flow resumes from the previous one
+instead of starting from zero.
 
 Extraction always uses the max flow.  The textbook alternative (repeatedly
 picking rows/columns with a single zero) is not used: it can deadlock on ties,
@@ -91,18 +92,26 @@ def line_cover(
     supply: Sequence[Fraction],
     demand: Sequence[Fraction],
 ) -> LineCover:
-    row_set = frozenset(_as_index(i, IndexError, "covered row") for i in rows)
-    col_set = frozenset(_as_index(j, IndexError, "covered column") for j in cols)
-    for i in row_set:
-        if not 0 <= i < len(supply):
-            raise IndexError(f"covered row {i} out of range")
-    for j in col_set:
-        if not 0 <= j < len(demand):
-            raise IndexError(f"covered column {j} out of range")
+    row_set, col_set = _covered_lines(rows, cols, len(supply), len(demand))
     weight = sum((supply[i] for i in row_set), Fraction(0)) + sum(
         (demand[j] for j in col_set), Fraction(0)
     )
     return LineCover(row_set, col_set, weight)
+
+
+def _covered_lines(
+    rows: Iterable[int], cols: Iterable[int], m: int, n: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The covered rows and columns as index sets; IndexError unless each
+    is an integer in range(m) or range(n)."""
+    lines = []
+    for name, indices, count in (("row", rows, m), ("column", cols, n)):
+        found = frozenset(_as_index(k, IndexError, f"covered {name}") for k in indices)
+        for k in found:
+            if not 0 <= k < count:
+                raise IndexError(f"covered {name} {k} out of range")
+        lines.append(found)
+    return tuple(lines)
 
 
 @_value_type
@@ -182,10 +191,9 @@ class ZeroFlowNetwork:
     values match a fresh network's; only the flow on the zero cells may
     differ where several maximum flows exist.
 
-    Tests reach the network through its public queries and two private
-    seams: `_set_zeros`, which moves it to a zero pattern given as cells,
-    and `_clear_flow`, which a network calls once while it is built and
-    again only when a step restarts its flow.
+    Tests reach the network through its public queries and one private
+    seam, `_clear_flow`, which a network calls once while it is built and
+    again only when `update_zeros` restarts its flow.
     """
 
     def __init__(
@@ -226,19 +234,7 @@ class ZeroFlowNetwork:
         return self._residual[1 + self.m + j][1 + i]
 
     def update_zeros(self, reduced: Matrix) -> None:
-        """Make the zero arcs those of `reduced`, keeping the current flow."""
-        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
-            raise ValueError("matrix shape does not match supply/demand lengths")
-        self._set_zeros([
-            (i, j)
-            for i, row in enumerate(reduced)
-            for j, value in enumerate(row)
-            if value == 0
-        ])
-
-    def _set_zeros(self, zero_cells: list[Cell]) -> None:
-        """Make `zero_cells`, in row-major order, the zero arcs, keeping the
-        current flow.
+        """Make the zero arcs those of `reduced`, keeping the current flow.
 
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
@@ -246,6 +242,11 @@ class ZeroFlowNetwork:
         survives; if a dropped arc does carry flow (an arbitrary new matrix),
         the flow restarts from zero.
         """
+        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
+            raise ValueError("matrix shape does not match supply/demand lengths")
+        zero_cells = [
+            (i, j) for i, row in enumerate(reduced) for j, value in enumerate(row) if value == 0
+        ]
         dropped = set(self.zero_cells).difference(zero_cells)
         if any(self._arc_flow(cell) > 0 for cell in dropped):
             self._clear_flow()
@@ -408,7 +409,8 @@ def delta_adjust(
     it to all doubly-covered cells; singly-covered cells are unchanged."""
     matrix = as_matrix(reduced)
     alpha, beta = [0] * len(matrix), [0] * len(matrix[0])
-    delta, _ = _delta_step(matrix, alpha, beta, cover, [])
+    _covered_lines(cover.rows, cover.cols, len(alpha), len(beta))
+    delta = _delta_step(matrix, alpha, beta, cover)
     return _reduced(matrix, alpha, beta), delta
 
 
@@ -417,25 +419,21 @@ def _delta_step(
     alpha: list[Number],
     beta: list[Number],
     cover: LineCover,
-    zeros: list[Cell],
-) -> tuple[Number, list[Cell]]:
-    """One delta step on the duals, in place.
+) -> Number:
+    """One delta step on the duals, in place; returns delta.
 
     delta is the least reduced cost cost[i][j] - alpha[i] - beta[j] over
     uncovered rows x uncovered columns.  alpha rises by it on uncovered rows
     and beta falls by it on covered columns, so uncovered cells drop by delta
-    and doubly-covered cells rise by it.  Returns delta and the zero cells
-    after the step in row-major order, given `zeros`, those before it: zeros
-    vanish only from doubly-covered cells and appear only in uncovered cells
-    whose reduced cost was delta.
+    and doubly-covered cells rise by it.  The caller reads the new zero
+    cells off the duals, with `_reduced`.
     """
     rows = [i for i in range(len(alpha)) if i not in cover.rows]
     cols = [j for j in range(len(beta)) if j not in cover.cols]
     if not rows or not cols:
         raise ValueError("every cell is covered; nothing to adjust")
     col_beta = [(j, beta[j]) for j in cols]
-    lows = [min([cost[i][j] - b for j, b in col_beta]) - alpha[i] for i in rows]
-    delta = min(lows)
+    delta = min(min([cost[i][j] - b for j, b in col_beta]) - alpha[i] for i in rows)
     if delta <= 0:
         leak = next(
             ((i, j) for i in rows for j, b in col_beta if cost[i][j] - alpha[i] - b == 0),
@@ -444,19 +442,11 @@ def _delta_step(
         if leak is not None:
             raise ValueError(f"cover leaves the zero at {leak} uncovered")
         raise ValueError(f"uncovered entry {delta} is negative")
-    fresh = [
-        (i, j)
-        for i, low in zip(rows, lows)
-        if low == delta
-        for j, b in col_beta
-        if cost[i][j] - alpha[i] - b == delta
-    ]
     for i in rows:
         alpha[i] += delta
     for j in cover.cols:
         beta[j] -= delta
-    kept = [(i, j) for i, j in zeros if i not in cover.rows or j not in cover.cols]
-    return delta, sorted(kept + fresh)
+    return delta
 
 
 def extract_plan_from_zeros(
@@ -490,7 +480,7 @@ def _check_step(
     gain: int,
     expected: Fraction,
     flow: Fraction,
-    side: frozenset[int],
+    side: set[int],
     network: ZeroFlowNetwork,
 ) -> None:
     """Raise unless the delta step of iteration `step` raised the scaled dual
@@ -502,12 +492,12 @@ def _check_step(
             f"internal error: iteration {step}: the delta step raised the dual "
             f"objective by {gain}, not delta * (total - cover weight) = {expected}"
         )
-    after = network.max_flow()
-    if after < flow or (after == flow and not side < network._reached):
+    after, reached = network.max_flow(), network.source_side()
+    if after < flow or (after == flow and not side < reached):
         raise RuntimeError(
             f"internal error: iteration {step}: the delta step took the max flow "
             f"from {flow} to {after} and the min cut's source side from "
-            f"{len(side)} to {len(network._reached)} nodes, without growing either"
+            f"{len(side)} to {len(reached)} nodes, without growing either"
         )
 
 
@@ -556,14 +546,14 @@ def solve_weighted_hungarian(
         if flow_value == instance.total:
             iterations.append(_recorded(duals, cover, flow_value, None))
             break
-        side = network._reached
+        side = network.source_side()
         step = len(iterations) + 1
         try:
-            delta, zeros = _delta_step(scaled_cost, alpha, beta, cover, network.zero_cells)
+            delta = _delta_step(scaled_cost, alpha, beta, cover)
         except ValueError as exc:
             raise RuntimeError(f"internal error: iteration {step}: {exc}") from exc
         iterations.append(_recorded(duals, cover, flow_value, delta))
-        network._set_zeros(zeros)
+        network.update_zeros(_reduced(scaled_cost, alpha, beta))
         before, objective = objective, _dual_objective(alpha, beta, supplies, demands)
         _check_step(
             step, objective - before, delta * (instance.total - cover.weight),

@@ -178,7 +178,7 @@ def zero_network_steps(
 ) -> tuple[int, int, list[int], list[int], list[set[tuple[int, int]]]]:
     """(m, n, supply, demand, patterns): integer marginals and zero patterns
     of an m x n matrix; the first pattern builds a zero network, each later
-    one is a warm `_set_zeros` step."""
+    one is a warm `update_zeros` step."""
     m = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
     total = draw(st.integers(1, max_total))

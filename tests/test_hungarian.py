@@ -207,6 +207,12 @@ class TestDeltaAdjust:
         with pytest.raises(ValueError, match="every cell is covered"):
             delta_adjust([[0, 1], [1, 0]], cover)
 
+    @pytest.mark.parametrize("col, message", [(-1, "covered column -1"), (2, "covered column 2")])
+    def test_out_of_range_line_rejected(self, col, message):
+        cover = hungarian.LineCover(frozenset(), frozenset({col}), Fraction(0))
+        with pytest.raises(IndexError, match=f"^{message} out of range$"):
+            delta_adjust([[1, 2], [3, 4]], cover)
+
     def test_negative_uncovered_entry_rejected(self):
         cover = line_cover([0], [1], [1, 1], [1, 1])
         with pytest.raises(ValueError, match="-1 is negative"):
@@ -291,9 +297,9 @@ class TestSolveWeightedHungarian:
     ):
         steps = []
 
-        def stuck(cost, alpha, beta, cover, zeros):
+        def stuck(cost, alpha, beta, cover):
             steps.append(cover)
-            return 1, zeros
+            return 1
 
         monkeypatch.setattr(hungarian, "_delta_step", stuck)
         # the per-step check stops such a step at once ...
@@ -313,11 +319,11 @@ class TestSolveWeightedHungarian:
     ):
         step = hungarian._delta_step
 
-        def beta_up(cost, alpha, beta, cover, zeros):
-            delta, zeros = step(cost, alpha, beta, cover, zeros)
+        def beta_up(cost, alpha, beta, cover):
+            delta = step(cost, alpha, beta, cover)
             for j in cover.cols:
                 beta[j] += 2 * delta  # net: beta[j] += delta
-            return delta, zeros
+            return delta
 
         monkeypatch.setattr(hungarian, "_delta_step", beta_up)
         # first step: delta 2, covered demand 3 + 2 + 4, so the objective
@@ -334,9 +340,9 @@ class TestSolveWeightedHungarian:
     ):
         step = hungarian._delta_step
 
-        def drop_last_column(cost, alpha, beta, cover, zeros):
+        def drop_last_column(cost, alpha, beta, cover):
             cols = cover.cols - {max(cover.cols)}
-            return step(cost, alpha, beta, hungarian.LineCover(cover.rows, cols, cover.weight), zeros)
+            return step(cost, alpha, beta, hungarian.LineCover(cover.rows, cols, cover.weight))
 
         monkeypatch.setattr(hungarian, "_delta_step", drop_last_column)
         # COVER1 without column 3 leaves the zero at (2, 3) uncovered
@@ -348,13 +354,14 @@ class TestSolveWeightedHungarian:
     def test_a_step_that_keeps_the_old_zeros_fails_the_progress_check(
         self, worked_instance, monkeypatch
     ):
-        step = hungarian._delta_step
+        update = hungarian.ZeroFlowNetwork.update_zeros
+        given = []
 
-        def stale(cost, alpha, beta, cover, zeros):
-            delta, _ = step(cost, alpha, beta, cover, zeros)
-            return delta, zeros
+        def stale(network, reduced):
+            given.append(reduced)
+            update(network, given[0])
 
-        monkeypatch.setattr(hungarian, "_delta_step", stale)
+        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "update_zeros", stale)
         # the source side: the source node, rows 1 and 2, columns 0, 1 and 3
         with pytest.raises(
             RuntimeError,

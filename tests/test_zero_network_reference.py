@@ -4,7 +4,7 @@
 its canonical min cut, and the solver's own check compares two numbers from
 that one flow.  Here each network is also built in networkx, on zero
 patterns with m, n <= 7 and integer marginals (seeded, and drawn by
-hypothesis), and then moved through a warm `_set_zeros` sequence.  After
+hypothesis), and then moved through a warm `update_zeros` sequence.  After
 every step:
 
 - `max_flow()` equals `networkx.maximum_flow_value`;
@@ -22,9 +22,13 @@ delta step does, so its flow is carried over rather than restarted.
 Every cover step of a solve is checked as well, on the instances of the
 benchmark's Hungarian workloads: each iteration's flow value equals the
 networkx max flow on that iteration's zeros and the cover's weight, and the
-cover covers every zero.
+cover covers every zero.  Each of those solves clears its network's flow
+only once, when the network is built, so the warm start never restarts; and
+the plans and duals of the whole pool hash to a pinned digest, so a change
+that keeps every cover but moves a plan or a dual shows.
 """
 
+import hashlib
 import itertools
 import random
 import runpy
@@ -103,13 +107,13 @@ def check(network, m, n, zeros, supply, demand):
 
 def check_steps(m, n, supply, demand, patterns):
     """Build the network on the first zero pattern, move it to each later
-    one by a warm `_set_zeros` step, and check it after every step."""
+    one by a warm `update_zeros` step, and check it after every step."""
     network = ZeroFlowNetwork(
         zero_matrix(m, n, patterns[0]), list(map(Fraction, supply)), list(map(Fraction, demand))
     )
     check(network, m, n, patterns[0], supply, demand)
     for zeros in patterns[1:]:
-        network._set_zeros(sorted(zeros))
+        network.update_zeros(zero_matrix(m, n, zeros))
         check(network, m, n, zeros, supply, demand)
 
 
@@ -141,14 +145,36 @@ def test_drawn_networks_match_networkx_and_brute_force(drawn):
     check_steps(*drawn)
 
 
+# sha256 of the plans' sorted entries and the duals, solve by solve
+POOL_DIGESTS = {
+    "hungarian_wide": "1cf6fec6610baaf8cc7a90d40e9cb2f5ad4ebd7f10777c61bcfc72345cc5973f",
+    "hungarian_narrow": "827daa60e698145c450a6b15098be221d28b229cc3aafe91c0bbd465b95fbc30",
+}
+
+
 @pytest.mark.parametrize("workload, count", [("hungarian_wide", None), ("hungarian_narrow", 3)])
-def test_every_cover_step_of_the_benchmark_pools(workload, count):
+def test_every_cover_step_of_the_benchmark_pools(workload, count, monkeypatch):
+    clears = []
+    clear_flow = ZeroFlowNetwork._clear_flow
+
+    def counting_clear_flow(network):
+        clears.append(network)
+        clear_flow(network)
+
+    monkeypatch.setattr(ZeroFlowNetwork, "_clear_flow", counting_clear_flow)
+    digest = hashlib.sha256()
     # the pool generator is run from its source file, which leaves no
     # bytecode in the benchmark's directory
     pools = runpy.run_path(str(WORKLOADS))
     for pooled in pools["make_pool"](workload, pools["HELD_OUT_SEED"])[:count]:
         m, n, supply, demand = pooled.m, pooled.n, pooled.supply, pooled.demand
-        _, _, trace = solve_weighted_hungarian(new_instance(pooled.cost, supply, demand))
+        clears.clear()
+        instance = new_instance(pooled.cost, supply, demand)
+        plan, certificate, trace = solve_weighted_hungarian(instance)
+        assert len(clears) == 1
+        digest.update(
+            repr((sorted(plan.entries.items()), certificate.alpha, certificate.beta)).encode()
+        )
         for it in trace.iterations:
             zeros = [(i, j) for i, row in enumerate(it.matrix) for j, v in enumerate(row) if v == 0]
             graph = zero_graph(m, n, zeros, supply, demand)
@@ -157,3 +183,4 @@ def test_every_cover_step_of_the_benchmark_pools(workload, count):
             )
             assert it.flow_value == value == it.cover.weight
             assert all(i in it.cover.rows or j in it.cover.cols for i, j in zeros)
+    assert digest.hexdigest() == POOL_DIGESTS[workload]
