@@ -1,9 +1,11 @@
 """North West corner rule, Monge-condition checking, and structured cost builders.
 
 The builders cover the cost families for which the NW corner plan is optimal:
-factored costs x_i * y_j (with x nonincreasing, y nondecreasing), sum costs
-x_i + y_j (where every feasible plan is optimal), convex-difference costs
-f(x_i - y_j) for convex f, and coupling problems with fixed marginals.
+factored costs x_i * y_j (Monge exactly when x and y never both rise and
+never both fall; otherwise a MongeOrderWarning), sum costs x_i + y_j (where
+every feasible plan is optimal), convex-difference costs f(x_i - y_j) for
+convex f (check_monge on the matrix decides a black-box f), and coupling
+problems with fixed marginals.
 
 A coupling instance with irrational-valued (float) data converts exactly to
 binary rationals, so everything downstream stays exact arithmetic.
@@ -42,7 +44,8 @@ __all__ = [
 
 
 class MongeOrderWarning(UserWarning):
-    """Inputs are not ordered as the greedy-optimality guarantee requires."""
+    """A factored cost whose matrix is not Monge: x and y both rise, or both
+    fall, somewhere, so the NW plan need not be optimal."""
 
 
 @_value_type
@@ -171,23 +174,20 @@ def factored_cost(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Cost matrix c[i][j] = x[i] * y[j].
 
-    The NW-optimality guarantee needs x nonincreasing and y nondecreasing,
-    both nonnegative; rows and columns can always be reordered to achieve
-    that, so violations only warn and the matrix is still built.
+    For i < r and j < s the Monge excess is (x[i] - x[r]) * (y[j] - y[s]),
+    so the matrix is Monge exactly unless x and y both rise somewhere, or
+    both fall somewhere; signs do not matter.  Then a MongeOrderWarning is
+    given and the matrix is still built: sorting x down and y up (reordering
+    rows and columns) always makes it Monge.
     """
     xs = as_vector(x)
     ys = as_vector(y)
-    problems = []
-    if not _is_nonincreasing(xs):
-        problems.append("x is not nonincreasing")
-    if not _is_nondecreasing(ys):
-        problems.append("y is not nondecreasing")
-    if any(v < 0 for v in xs) or any(v < 0 for v in ys):
-        problems.append("entries are not all nonnegative")
-    if problems:
+    if not (_is_nonincreasing(xs) or _is_nonincreasing(ys)) or not (
+        _is_nondecreasing(xs) or _is_nondecreasing(ys)
+    ):
         warnings.warn(
             "factored cost without greedy-optimality guarantee: "
-            + "; ".join(problems),
+            "x and y both rise, or both fall, somewhere",
             MongeOrderWarning,
             stacklevel=2,
         )
@@ -207,13 +207,12 @@ def convex_diff_cost(
     x: Iterable[Numberish],
     y: Iterable[Numberish],
     f: Callable[[Fraction], Numberish],
-    spot_check_convexity: bool = False,
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Cost matrix c[i][j] = f(x[i] - y[j]) for nondecreasing x and y.
 
-    Convexity of f is the caller's contract (it cannot be proven for a black
-    box); with spot_check_convexity, midpoint convexity is sampled on the
-    difference grid and a counterexample raises.
+    The matrix is Monge when f is convex.  Convexity of a black-box f is the
+    caller's contract; check_monge on the built matrix decides exactly
+    whether the NW-optimality guarantee holds for it.
     """
     xs = as_vector(x)
     ys = as_vector(y)
@@ -221,17 +220,6 @@ def convex_diff_cost(
         raise ValueError("x must be nondecreasing")
     if not _is_nondecreasing(ys):
         raise ValueError("y must be nondecreasing")
-    if spot_check_convexity:
-        points = sorted({a - b for a in xs for b in ys})
-        for t1, t3 in zip(points, points[2:]):
-            t2 = (t1 + t3) / 2
-            mid = as_fraction(f(t2))
-            chord = (as_fraction(f(t1)) + as_fraction(f(t3))) / 2
-            if mid > chord:
-                raise ValueError(
-                    f"convexity spot check failed: f({t2}) = {mid} exceeds the "
-                    f"chord midpoint {chord} between {t1} and {t3}"
-                )
     return tuple(tuple(as_fraction(f(a - b)) for b in ys) for a in xs)
 
 

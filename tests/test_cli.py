@@ -756,15 +756,47 @@ class TestGenerateCommand:
 
     def test_factored_order_warning_is_one_stable_line(self, capsys):
         code, out, err = run(
+            capsys, "generate", "factored", "--x", "1", "2", "--y", "1", "2",
+            "--supply", "1", "1", "--demand", "1", "1",
+        )
+        assert code == 0
+        assert out == "2 2\n1 2\n2 4\n1 1\n1 1\n"
+        assert err == (
+            "warning: factored cost without greedy-optimality guarantee: "
+            "x and y both rise, or both fall, somewhere\n"
+        )
+        # one column: every matrix is Monge, whatever the order of x
+        code, out, err = run(
             capsys, "generate", "factored", "--x", "1", "2", "--y", "1",
             "--supply", "1", "1", "--demand", "2",
         )
         assert code == 0
         assert out == "2 1\n1\n2\n1 1\n2\n"
-        assert err == (
-            "warning: factored cost without greedy-optimality guarantee: "
-            "x is not nonincreasing\n"
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (("3", "2", "1"), ("1", "2", "3")),
+            (("1", "2", "3"), ("3", "2", "1")),  # the mirror order
+            (("1", "-1"), ("0", "2")),
+            (("-0.5", "1/3", "1/3"), ("2", "2", "-5")),
+            (("1", "2"), ("1", "2")),
+            (("2", "1"), ("-1", "-3")),
+            (("2", "1", "3"), ("1", "3", "2")),
+        ],
+    )
+    def test_factored_warns_exactly_when_check_monge_fails(self, tmp_path, capsys, x, y):
+        code, out, err = run(
+            capsys, "generate", "factored", "--x", *x, "--y", *y,
+            "--supply", *["1"] * len(x), "--demand", *["1"] * len(y),
         )
+        assert code == 0
+        path = tmp_path / "factored.txt"
+        path.write_text(out)
+        code, _, _ = run(capsys, "check-monge", str(path))
+        assert code in (0, 1)
+        assert (err != "") == (code == 1)
 
     def test_malformed_value_exit_2(self, capsys):
         code, _, err = run(

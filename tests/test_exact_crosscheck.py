@@ -5,14 +5,27 @@ transportation optimum it returns must equal the cost of the Hungarian plan,
 whose certificate must also verify.  `scipy.optimize.linear_sum_assignment`
 does the same for `solve_assignment`; its float costs are exact for these
 small integers, and the optimum is summed back from the integer matrix.
+The North West corner plan of a Monge instance must be optimal too (the
+paper's theorem), which the same network simplex checks at 40 x 40.
 """
 
 import random
+import warnings
 
 import pytest
 
-from helpers import composition
-from transopt import new_instance, plan_cost, solve_assignment, solve_weighted_hungarian, verify_optimal
+from helpers import CONVEX_SHAPES, composition
+from transopt import (
+    check_monge,
+    convex_diff_cost,
+    factored_cost,
+    new_instance,
+    north_west_corner,
+    plan_cost,
+    solve_assignment,
+    solve_weighted_hungarian,
+    verify_optimal,
+)
 
 # (m, n, cost_high), total 10*m as in the benchmark pools; two seeds each
 TRANSPORT_SHAPES = [
@@ -24,6 +37,13 @@ TRANSPORT_SHAPES = [
     (40, 40, 9),
     (40, 40, 1000),
 ]
+# Monge cost builders on sorted signed integers: (x, y) -> matrix
+MONGE_COSTS = {
+    "factored_x_down_y_up": lambda x, y: factored_cost(x[::-1], y),
+    "factored_x_up_y_down": lambda x, y: factored_cost(x, y[::-1]),
+    "convexdiff_abs": lambda x, y: convex_diff_cost(x, y, CONVEX_SHAPES["abs"]),
+    "convexdiff_square": lambda x, y: convex_diff_cost(x, y, CONVEX_SHAPES["square"]),
+}
 # (order, cost_low, cost_high)
 ASSIGNMENT_SHAPES = [(8, -9, 9), (15, 0, 1000), (30, 0, 9), (30, 0, 1000)]
 
@@ -53,6 +73,22 @@ def test_transport_optimum_matches_network_simplex(m, n, cost_high, seed):
     plan, certificate, _ = solve_weighted_hungarian(instance)
     assert plan_cost(instance, plan) == expected
     assert verify_optimal(instance, plan, certificate)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", MONGE_COSTS)
+def test_nw_plan_of_a_monge_instance_matches_network_simplex(kind, seed):
+    rng = random.Random(f"monge:{kind}:{seed}")
+    m = n = 40
+    x = sorted(rng.randint(-30, 30) for _ in range(m))
+    y = sorted(rng.randint(-30, 30) for _ in range(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost = MONGE_COSTS[kind](x, y)
+    assert check_monge(cost)
+    total = 10 * m
+    instance = new_instance(cost, composition(rng, total, m), composition(rng, total, n))
+    assert plan_cost(instance, north_west_corner(instance)) == network_simplex_optimum(instance)
 
 
 @pytest.mark.parametrize("order, cost_low, cost_high", ASSIGNMENT_SHAPES)

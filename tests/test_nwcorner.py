@@ -1,6 +1,8 @@
 import random
 import statistics
 import time
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -236,18 +238,51 @@ class TestFactoredCost:
         assert check_monge(cost, "exhaustive").holds
 
     def test_unsorted_warns_but_builds(self):
+        # x and y both rise: (x[0] - x[1]) * (y[0] - y[1]) > 0
         with pytest.warns(MongeOrderWarning):
+            cost = factored_cost([1, 2], [1, 2])
+        assert cost == ((1, 2), (2, 4))
+        assert not check_monge(cost)
+        # x rises and y falls: the mirror order is Monge, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cost = factored_cost([1, 2], [3, 1])
         assert cost == ((3, 1), (6, 2))
+        assert check_monge(cost)
 
-    def test_negative_entries_warn_but_build(self):
+    def test_negative_entries_warn_only_when_not_monge(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factored_cost([1, -1], [0, 2]) == ((0, 2), (0, -2))
+            assert factored_cost([1, -1], [2, 3]) == ((2, 3), (-2, -3))
         with pytest.warns(MongeOrderWarning) as caught:
-            cost = factored_cost([1, -1], [0, 2])
+            cost = factored_cost([1, -1], [2, 0])
         assert [str(w.message) for w in caught] == [
             "factored cost without greedy-optimality guarantee: "
-            "entries are not all nonnegative"
+            "x and y both rise, or both fall, somewhere"
         ]
-        assert cost == ((0, 2), (0, -2))
+        assert cost == ((2, 0), (-2, 0))
+        assert not check_monge(cost)
+
+    def test_warns_exactly_when_check_monge_fails(self):
+        rng = random.Random(22)
+        verdicts = Counter()
+
+        def values():
+            # few distinct values, so that ties and sign changes are common
+            size = rng.randint(1, 5)
+            return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+
+        for _ in range(2000):
+            x, y = values(), values()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cost = factored_cost(x, y)
+            assert all(w.category is MongeOrderWarning for w in caught)
+            holds = check_monge(cost).holds
+            assert len(caught) == (0 if holds else 1), (x, y)
+            verdicts[holds] += 1
+        assert min(verdicts.values()) >= 500
 
     def test_three_by_three_nw_matches_oracle(self):
         cost = factored_cost([3, 2, 1], [1, 2, 3])
@@ -313,13 +348,15 @@ class TestConvexDiffCost:
         with pytest.raises(ValueError, match="nondecreasing"):
             convex_diff_cost([1, 2], [2, 1], abs)
 
-    def test_convexity_spot_check_catches_concave(self):
-        with pytest.raises(ValueError, match="convexity"):
-            convex_diff_cost([0, 1, 2], [0, 1, 2], lambda t: -(t * t), spot_check_convexity=True)
+    def test_check_monge_rejects_a_concave_build(self):
+        report = check_monge(convex_diff_cost([0, 1, 2], [0, 1, 2], lambda t: -(t * t)))
+        assert not report.holds
+        assert report.witness == (0, 0, 1, 1)
 
-    def test_convexity_spot_check_passes_convex(self):
-        cost = convex_diff_cost([0, 1, 2], [0, 1, 2], abs, spot_check_convexity=True)
+    def test_check_monge_accepts_a_convex_build(self):
+        cost = convex_diff_cost([0, 1, 2], [0, 1, 2], abs)
         assert cost[0][2] == 2
+        assert check_monge(cost).holds
 
     def test_random_sorted_rationals_nw_matches_oracle(self):
         rng = random.Random(29)
