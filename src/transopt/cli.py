@@ -485,6 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     monge.set_defaults(handler=_cmd_check_monge)
 
     generate = sub.add_parser("generate", help="emit a structured instance file")
+    # argparse takes a token for a negative number, not an option, only in the
+    # forms -5 and -0.5; a dash before a digit or a point and a digit starts
+    # every negative number `as_fraction` reads (-1/2, -1e1) and no option
+    generate._negative_number_matcher = re.compile(r"-\.?\d")
     generate.add_argument(
         "kind", choices=("survey", "factored", "sum", "convexdiff", "problemp")
     )

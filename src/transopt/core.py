@@ -283,20 +283,18 @@ class TransportPlan:
     def __post_init__(self) -> None:
         entries = self.entries
         items = entries.items() if isinstance(entries, Mapping) else entries
-        clean: dict[Cell, Fraction] = {}
-        seen: set[Cell] = set()
+        given: dict[Cell, Fraction] = {}
         for (i, j), quantity in items:
             q = as_fraction(quantity)
             if q < 0:
                 raise ValueError(f"negative quantity {q} at cell ({i}, {j})")
             cell = (_as_index(i, ValueError, "cell index"),
                     _as_index(j, ValueError, "cell index"))
-            if cell in seen:
+            if cell in given:
                 raise ValueError(f"cell {cell} is given twice")
-            seen.add(cell)
-            if q > 0:
-                clean[cell] = q
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+            given[cell] = q
+        positive = {cell: q for cell, q in given.items() if q}
+        object.__setattr__(self, "entries", MappingProxyType(positive))
 
     def quantity(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
@@ -384,12 +382,7 @@ def new_instance(
         raise ValueError(
             f"cost matrix has {len(cost_m[0])} columns but there are {len(demand_v)} demands"
         )
-    for i, a in enumerate(supply_v):
-        if a < 0:
-            raise ValueError(f"supply {i} is negative: {a}")
-    for j, b in enumerate(demand_v):
-        if b < 0:
-            raise ValueError(f"demand {j} is negative: {b}")
+    _nonnegative_marginals(supply_v, demand_v)
     total_supply = sum(supply_v, Fraction(0))
     total_demand = sum(demand_v, Fraction(0))
     if total_supply != total_demand:
@@ -404,6 +397,16 @@ def _check_plan_indices(instance: TransportInstance, plan: TransportPlan) -> Non
                 f"plan cell ({i}, {j}) out of range for a "
                 f"{instance.m}x{instance.n} instance"
             )
+
+
+def _nonnegative_marginals(
+    supply: Sequence[Fraction], demand: Sequence[Fraction]
+) -> None:
+    """Raise ValueError naming the first negative supply, else demand."""
+    for label, values in (("supply", supply), ("demand", demand)):
+        for k, v in enumerate(values):
+            if v < 0:
+                raise ValueError(f"{label} {k} is negative: {v}")
 
 
 def _integer_marginals(
@@ -447,7 +450,8 @@ def _spanning_forest(
 ) -> tuple[list[Cell], Cell | None]:
     """The cells, taken in order, that join two components of the bipartite
     graph on m row and n column nodes (a spanning forest), and the first cell
-    that closes a cycle, or None."""
+    that closes a cycle, or None.  Once the forest spans, the next cell, if
+    any, closes a cycle, so the scan reads no further."""
     parent = list(range(m + n))
 
     def find(x: int) -> int:
@@ -458,11 +462,14 @@ def _spanning_forest(
 
     tree: list[Cell] = []
     closing: Cell | None = None
+    cells = iter(cells)
     for i, j in cells:
         ri, cj = find(i), find(m + j)
         if ri != cj:
             parent[ri] = cj
             tree.append((i, j))
+            if len(tree) == m + n - 1:
+                return tree, closing or next(cells, None)
         elif closing is None:
             closing = (i, j)
     return tree, closing

@@ -41,6 +41,7 @@ from .core import (
     _as_index,
     _dual_objective,
     _integer_marginals,
+    _nonnegative_marginals,
     _scaled_to_integers,
     _value_type,
     as_matrix,
@@ -211,6 +212,7 @@ class ZeroFlowNetwork:
             )
         self.supply = tuple(supply)
         self.demand = tuple(demand)
+        _nonnegative_marginals(self.supply, self.demand)
         self.source = 0
         self.sink = self.m + self.n + 1
         self._unbounded = sum(supply, Fraction(0)) + 1
@@ -469,7 +471,7 @@ def extract_plan_from_zeros(
             f"zero flow does not ship the balanced total {instance.total} "
             f"({kind} {index} has residual {residual})"
         )
-    for (i, j), q in zero_flow.items():
+    for (i, j), q in plan.entries.items():
         if instance.cost[i][j] != 0:
             raise ValueError(f"flow of {q} on nonzero cell ({i}, {j})")
     return plan

@@ -71,8 +71,8 @@ def north_west_corner(instance: TransportInstance) -> TransportPlan:
     """Greedy staircase plan: ship min(remaining supply, remaining demand) at
     the current cell, move right when the demand is exhausted, down when the
     supply is.  When both run out together, the column is consumed first and
-    the pointer moves right (the plan stays degenerate rather than storing a
-    zero cell).
+    the pointer moves right.  Every visited cell is passed to the plan, which
+    drops those that ship zero, so a degenerate plan stores no zero cell.
     """
     rem_supply = list(instance.supply)
     rem_demand = list(instance.demand)
@@ -80,11 +80,9 @@ def north_west_corner(instance: TransportInstance) -> TransportPlan:
     entries: dict[tuple[int, int], Fraction] = {}
     i = j = 0
     while i < m and j < n:
-        q = min(rem_supply[i], rem_demand[j])
-        if q > 0:
-            entries[(i, j)] = q
-            rem_supply[i] -= q
-            rem_demand[j] -= q
+        q = entries[(i, j)] = min(rem_supply[i], rem_demand[j])
+        rem_supply[i] -= q
+        rem_demand[j] -= q
         if rem_demand[j] == 0:
             j += 1
         else:

@@ -82,13 +82,11 @@ def enumerate_optimum(
         low = rem_row - tail if rem_row > tail else 0
         high = min(rem_row, rem_demand[j])
         for q in range(low, high + 1):
-            if q:
-                current[(i, j)] = q
-                rem_demand[j] -= q
+            current[(i, j)] = q
+            rem_demand[j] -= q
             walk(i, j + 1, rem_row - q, acc + cost[i][j] * q)
-            if q:
-                del current[(i, j)]
-                rem_demand[j] += q
+            rem_demand[j] += q
+        current.pop((i, j), None)
 
     walk(0, 0, supply[0] if m else 0, Fraction(0))
     assert best_cost is not None  # balanced instances always have a feasible plan

@@ -806,6 +806,36 @@ class TestGenerateCommand:
         assert code == 2
         assert "malformed number" in err
 
+    @pytest.mark.parametrize(
+        "value, cost", [("-1/2", "1/2"), ("-1e1", "-9"), ("-1E+1", "-9"), ("-.5", "1/2")]
+    )
+    def test_a_negative_value_of_any_form_is_a_value(self, capsys, value, cost):
+        # argparse alone reads only -5 and -0.5 as values; the --y right
+        # after the negative value must still parse as an option
+        code, out, err = run(
+            capsys, "generate", "sum", "--x", "1", value, "--y", "1",
+            "--supply", "1", "1", "--demand", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"2 1\n2\n{cost}\n1 1\n2\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sum", "--x", "1", "1", "--y", "1", "--supply", "3/2", "-1/2", "--demand", "1"),
+             "supply 1 is negative: -1/2"),
+            (("sum", "--x", "1", "--y", "-2", "1", "--supply", "1", "--demand", "2", "-1e0"),
+             "demand 1 is negative: -1"),
+            (("problemp", "--x", "0", "1", "--y", "0", "--p-row", "3/2", "-1/2", "--p-col", "1"),
+             "marginal probabilities must be nonnegative"),
+            (("problemp", "--x", "0", "--y", "0", "1", "--p-row", "1", "--p-col", "-1e1", "11"),
+             "marginal probabilities must be nonnegative"),
+        ],
+    )
+    def test_every_number_option_takes_negative_values(self, capsys, argv, message):
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_number_over_the_digit_limit_exit_2(self, capsys):
         code, out, err = run(
             capsys, "generate", "sum", "--x", "1e5000", "--y", "1",

@@ -476,6 +476,18 @@ class TestSpanningForest:
         assert closing == (0, 0)
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "cells, closing",
+        [([(0, 0), (0, 1), (1, 0)], (1, 1)), ([(0, 0), (0, 0), (0, 1), (1, 0)], (0, 0))],
+    )
+    def test_the_scan_stops_at_the_first_cell_after_the_forest_spans(self, cells, closing):
+        def scan():
+            yield from cells  # spanning at the last of these
+            yield (1, 1)
+            raise AssertionError("read past the first cell after the spanning one")
+
+        assert _spanning_forest(2, 2, scan()) == ([(0, 0), (0, 1), (1, 0)], closing)
+
 
 class TestWeakDuality:
     @given(balanced_instances(), st.randoms(use_true_random=False))

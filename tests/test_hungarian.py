@@ -117,6 +117,15 @@ class TestZeroFlowNetwork:
         with pytest.raises(ValueError, match="matrix shape does not match"):
             ZeroFlowNetwork(as_matrix([[1, 1, 0]]), as_vector([1, 1]), as_vector([1, 1]))
 
+    def test_negative_marginal_rejected(self):
+        from transopt import ZeroFlowNetwork
+        from transopt.core import as_matrix, as_vector
+
+        with pytest.raises(ValueError, match="supply 0 is negative: -1"):
+            ZeroFlowNetwork(as_matrix([[0]]), as_vector([-1]), as_vector([-1]))
+        with pytest.raises(ValueError, match="demand 1 is negative: -1/2"):
+            ZeroFlowNetwork(as_matrix([[0, 0]]), as_vector([0]), as_vector([1/2, -1/2]))
+
     def test_size_guard_refuses_before_allocating(self, worked_instance, monkeypatch):
         from transopt import ZeroFlowNetwork
 
@@ -182,6 +191,16 @@ class TestMinWeightZeroCover:
     def test_shape_mismatch_rejected(self, matrix):
         with pytest.raises(ValueError, match="matrix shape does not match"):
             min_weight_zero_cover(matrix, [2], [1, 1])
+
+    @pytest.mark.parametrize(
+        "supply, demand, message",
+        [([-1], [-1], "supply 0 is negative: -1"), ([1, -1], [0], "supply 1 is negative: -1"),
+         ([0], [2, -2], "demand 1 is negative: -2")],
+    )
+    def test_negative_marginal_rejected(self, supply, demand, message):
+        matrix = [[0] * len(demand) for _ in supply]
+        with pytest.raises(ValueError, match=message):
+            min_weight_zero_cover(matrix, supply, demand)
 
 
 class TestDeltaAdjust:
@@ -579,6 +598,15 @@ class TestExtractPlan:
     def test_flow_on_nonzero_cell_rejected(self):
         with pytest.raises(ValueError, match=r"flow of 1 on nonzero cell \(0, 1\)"):
             extract_plan_from_zeros([[0, 1], [1, 0]], [1, 1], [1, 1], {(0, 1): 1, (1, 0): 1})
+
+    @pytest.mark.parametrize("cell", [(0, 1), (5, 5)])
+    def test_a_zero_entry_is_no_flow(self, cell):
+        # a plan drops zero quantities, so a zero entry ships nothing, on a
+        # nonzero cell or outside the matrix
+        plan = extract_plan_from_zeros(
+            [[0, 1], [1, 0]], [1, 1], [1, 1], {(0, 0): 1, (1, 1): 1, cell: 0}
+        )
+        assert plan == TransportPlan({(0, 0): 1, (1, 1): 1})
 
 
 class TestExpansion:
