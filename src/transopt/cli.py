@@ -320,7 +320,7 @@ def _text(doc: dict) -> str:
 
 def _load_instance(path: str) -> TransportInstance:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise CommandError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror}") from exc

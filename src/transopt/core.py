@@ -313,6 +313,10 @@ class TransportPlan:
         body = ", ".join(f"({i}, {j}): {q}" for (i, j), q in sorted(self.entries.items()))
         return f"TransportPlan({{{body}}})"
 
+    def __reduce__(self) -> tuple:
+        # a mappingproxy cannot be pickled or deep-copied: rebuild from a dict
+        return type(self), (dict(self.entries),)
+
 
 @_value_type
 class DualCertificate:

@@ -314,14 +314,9 @@ class ZeroFlowNetwork:
         return self._flow_value
 
     def zero_cell_flow(self) -> dict[Cell, Fraction]:
-        """Flow routed through each zero cell (positive entries only)."""
+        """Flow routed through each zero cell, zero flows included."""
         self.max_flow()
-        flow: dict[Cell, Fraction] = {}
-        for cell in self.zero_cells:
-            q = self._arc_flow(cell)
-            if q > 0:
-                flow[cell] = q
-        return flow
+        return {cell: self._arc_flow(cell) for cell in self.zero_cells}
 
     def source_side(self) -> set[int]:
         """Nodes reachable from the source in the final residual graph."""

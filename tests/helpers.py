@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -39,6 +40,12 @@ WORKED_DEMAND = [3, 2, 6, 4]
 def worked_example() -> TransportInstance:
     """The 3x4 instance whose solve is traced step by step in the docs."""
     return new_instance(WORKED_COST, WORKED_SUPPLY, WORKED_DEMAND)
+
+
+def digit_limit() -> int:
+    """The most digits `str` prints of an int: the interpreter's setting, or
+    its default where the setting is 0 (no limit), as the program reads it."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def brute_force_monge(cost) -> MongeReport:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import digit_limit
 from transopt import BalanceError, CyclicBasisError, TransportPlan, cli, hungarian, verify_optimal
 from transopt.cli import (
     ParseError,
@@ -159,7 +160,7 @@ class TestParseInstance:
         with pytest.raises(ParseError) as err:
             parse_instance("1 2\n3 1e999999999\n1\n0 1\n")
         assert time.perf_counter() - started < 1
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         assert str(err.value) == (
             f"line 2, column 3: number '1e999999999' exceeds the limit of {limit} digits"
         )
@@ -441,7 +442,7 @@ class TestSolveCommand:
     def test_number_over_the_digit_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text("1 2\n1e5000 0\n1\n1 0\n")
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         message = f"line 2, column 1: number '1e5000' exceeds the limit of {limit} digits"
         for argv in (("solve", str(path), "--method", "nw"), ("check-monge", str(path))):
             code, out, err = run(capsys, *argv)
@@ -464,7 +465,7 @@ class TestSolveCommand:
     def test_result_over_the_digit_limit_exit_2(self, tmp_path, capsys):
         # every input has at most `limit` digits, but the plan cost and the
         # Monge sum have one more, which str() refuses to print
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         long_cost = tmp_path / "long_cost.txt"
         long_cost.write_text(f"1 1\n1e{limit - 1}\n10\n10\n")
         long_sum = tmp_path / "long_sum.txt"
@@ -484,7 +485,7 @@ class TestSolveCommand:
         # the plan cost 2/7 prints, but the trace's matrices are in units of
         # 1/7, where 9 * 10**(limit - 1) becomes 63 * 10**(limit - 1): one
         # digit over the limit, so no part of the report may be written
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         path = tmp_path / "scaled.txt"
         path.write_text(f"2 2\n9e{limit - 1} 1/7\n1/7 9e{limit - 1}\n1 1\n1 1\n")
         code, out, err = run(capsys, "solve", str(path), "--method", "hungarian")
@@ -501,7 +502,7 @@ class TestSolveCommand:
         path = tmp_path / "deep.txt"
         rows = (" ".join(f"1/{rng.randrange(10**19, 10**20)}" for _ in range(80)) for _ in range(80))
         path.write_text("80 80\n" + "\n".join(rows) + "\n" + "1 " * 80 + "\n" + "1 " * 80 + "\n")
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         message = f"the common denominator of the costs exceeds the limit of {limit} digits"
         code, out, err = run(capsys, "check-monge", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
@@ -515,6 +516,15 @@ class TestSolveCommand:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # as Notepad writes UTF-8: the bytes ef bb bf before the first line
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + WORKED.read_bytes())
+        for argv in (("solve", "--method", "hungarian", "--certificate"), ("check-monge",)):
+            expected = run(capsys, argv[0], str(WORKED), *argv[1:])
+            assert expected[1] and not expected[2]  # a report, no error
+            assert run(capsys, argv[0], str(path), *argv[1:]) == expected
 
     def test_huge_header_on_short_file_is_incomplete(self, tmp_path, capsys):
         short = tmp_path / "short.txt"
@@ -841,12 +851,12 @@ class TestGenerateCommand:
             capsys, "generate", "sum", "--x", "1e5000", "--y", "1",
             "--supply", "1", "--demand", "1",
         )
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         assert (code, out) == (2, "")
         assert err == f"error: number '1e5000' exceeds the limit of {limit} digits in --x\n"
 
     def test_result_over_the_digit_limit_exit_2(self, capsys):
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         big = f"9e{limit - 1}"  # limit digits; the sum of two has one more
         code, out, err = run(
             capsys, "generate", "sum", "--x", big, "--y", big, "--supply", "1", "--demand", "1"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import balanced_instances, random_feasible_plan, random_instance
+from helpers import balanced_instances, digit_limit, random_feasible_plan, random_instance
 from transopt import (
     BalanceError,
     CyclicBasisError,
@@ -101,10 +101,6 @@ class TestNewInstance:
 
 # ASCII, Arabic-Indic and fullwidth digits: `Fraction` and `int` read all three
 DIGITS = "0123456789" + "\u0660\u0661\u0662\u0669" + "\uff10\uff11\uff19"
-
-
-def digit_limit():
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 # a token with an exponent: everything up to its E, then the exponent's sign,

@@ -101,6 +101,20 @@ class TestZeroFlowNetwork:
         assert network.max_flow() == 1
         assert network.zero_cell_flow() == {(0, 1): 1}
 
+    def test_flow_read_out_keeps_zero_flows(self):
+        from transopt import ZeroFlowNetwork
+        from transopt.core import as_matrix, as_vector
+
+        # column 1 demands nothing, so its zero cell carries no flow; the
+        # read-out still names it, and only the plan drops it
+        network = ZeroFlowNetwork(as_matrix([[0, 0]]), as_vector([1]), as_vector([1, 0]))
+        assert network.zero_cell_flow() == {(0, 0): 1, (0, 1): 0}
+        assert list(network.zero_cell_flow()) == network.zero_cells
+        _, _, zero_flow = min_weight_zero_cover([[0, 0]], [1], [1, 0])
+        assert zero_flow == {(0, 0): 1, (0, 1): 0}
+        plan = extract_plan_from_zeros([[0, 0]], [1], [1, 0], zero_flow)
+        assert plan.entries == {(0, 0): 1}
+
     def test_saturation_exactly_when_a_zero_supported_plan_exists(self):
         from transopt import ZeroFlowNetwork
         from transopt.core import as_matrix, as_vector

@@ -2,10 +2,13 @@
 equality, hashing, immutability and repr.  The ten in `CASES` are plain
 records; `TransportPlan` is a record with its own repr and hash."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from helpers import worked_example
 from transopt import (
     DualCertificate,
     FeasibilityReport,
@@ -18,7 +21,10 @@ from transopt import (
     SolveTrace,
     TransportInstance,
     TransportPlan,
+    new_instance,
+    solve_weighted_hungarian,
 )
+from transopt.oracle import enumerate_optimum
 
 F = Fraction
 COVER = LineCover(frozenset({0}), frozenset({1}), F(3))
@@ -175,3 +181,46 @@ def test_transport_plan_is_a_record_with_its_own_repr_and_hash():
         plan.entries[(0, 1)] = F(1)
     with pytest.raises(TypeError):
         TransportPlan({}, {})
+
+
+ROUND_TRIPS = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+round_trips = pytest.mark.parametrize("round_trip", list(ROUND_TRIPS.values()), ids=list(ROUND_TRIPS))
+
+
+def assert_same_value(obj, twin):
+    assert twin is not obj
+    assert twin == obj
+    assert hash(twin) == hash(obj)
+    assert repr(twin) == repr(obj)
+
+
+@round_trips
+@parametrize
+def test_copies_and_pickles_are_equal(cls, round_trip):
+    obj = cls(*values(cls))
+    assert_same_value(obj, round_trip(obj))
+
+
+@round_trips
+def test_plan_copies_are_rebuilt_through_the_constructor(round_trip):
+    plan = TransportPlan({(1, 0): F(1, 2), (0, 0): 1})
+    twin = round_trip(plan)
+    assert_same_value(plan, twin)
+    with pytest.raises(TypeError):
+        twin.entries[(0, 1)] = F(1)
+
+
+@round_trips
+def test_a_solver_trace_and_an_oracle_result_survive_a_round_trip(round_trip):
+    _, _, trace = solve_weighted_hungarian(worked_example())
+    twin = round_trip(trace)
+    assert_same_value(trace, twin)
+    # a recorded iteration still derives its matrix on read instead of storing it
+    for iteration, copied in zip(trace.iterations, twin.iterations):
+        assert "matrix" not in vars(copied)
+        assert copied.matrix == iteration.matrix
+    result = enumerate_optimum(new_instance([[1, 2], [3, 1]], [1, 2], [2, 1]))
+    assert_same_value(result, round_trip(result))

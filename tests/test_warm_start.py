@@ -113,7 +113,8 @@ def assert_same_as_fresh(network, matrix, supply, demand):
     assert network.source_side() == fresh.source_side()
     assert network.min_cut_cover() == fresh.min_cut_cover()
     flow = network.zero_cell_flow()
-    assert all(matrix[i][j] == 0 and q > 0 for (i, j), q in flow.items())
+    assert set(flow) == {(i, j) for i, row in enumerate(matrix) for j, c in enumerate(row) if c == 0}
+    assert all(q >= 0 for q in flow.values())
     for i, s in enumerate(supply):
         assert sum(q for (r, _), q in flow.items() if r == i) <= s
     for j, d in enumerate(demand):
