@@ -11,8 +11,8 @@ allowed anywhere, numbers as `core.as_fraction` reads them, e.g. 5/2):
 Exit codes: 0 success (for check-monge: condition holds), 1 check-monge
 violation, 2 input error (unreadable file, parse error, invalid data, or a
 result with a number of more digits than `str` prints), 3 method
-precondition failure (e.g. the weighted Hungarian method on
-non-integer marginals, or an oracle size guard).
+precondition failure (e.g. the oracle on non-integer marginals, or an
+oracle size guard).
 
 All human-facing indices are 1-based.
 """
@@ -193,17 +193,20 @@ def serialize_instance(instance: TransportInstance) -> str:
 
 
 def _certificate_json(
-    instance: TransportInstance, plan: TransportPlan, cert: DualCertificate | None
+    instance: TransportInstance,
+    plan: TransportPlan,
+    cert: DualCertificate | None,
+    verified: bool,
 ) -> dict:
-    """The certificate block: the solver's duals, which
-    `solve_weighted_hungarian` verified before returning, or, for a plan that
-    came without any, duals from its basis (`core._basis_duals`), checked here.
+    """The certificate block of `plan`: the duals `cert`, or for a plan that
+    came without any, duals from its basis (`core._basis_duals`), checked
+    here unless `verified`, as `solve_weighted_hungarian` verifies its own
+    plan's before returning.
     """
     hints: list[tuple[int, int]] = []
-    report = OptimalityReport(True)
     if cert is None:
         cert, hints = _basis_duals(instance, plan)
-        report = verify_optimal(instance, plan, cert)
+    report = OptimalityReport(True) if verified else verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
         "alpha": [str(v) for v in cert.alpha],
@@ -267,7 +270,9 @@ def _solve_document(
             for it in trace.iterations
         ]
     if args.certificate:
-        doc["certificate"] = _certificate_json(instance, plan, cert)
+        doc["certificate"] = _certificate_json(
+            instance, plan, cert, verified=args.method == "hungarian"
+        )
     return doc
 
 
@@ -320,8 +325,10 @@ def _text(doc: dict) -> str:
 
 def _load_instance(path: str) -> TransportInstance:
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
+        # the mark is stripped after decoding, so a decode error counts its
+        # position from the start of the file
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise CommandError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -343,6 +350,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             plan = north_west_corner(instance)
         else:  # oracle
             plan = enumerate_optimum(instance).plan
+            if args.certificate:
+                # any optimal duals certify every optimal plan, so the
+                # solver's are checked against the oracle's own plan
+                cert = solve_weighted_hungarian(instance)[1]
     except ValueError as exc:  # size guards and method preconditions
         raise CommandError(EXIT_PRECONDITION, f"method {args.method}: {exc}") from exc
     doc = _solve_document(args, instance, plan, trace, cert)

@@ -428,15 +428,15 @@ def _integer_marginals(
 
 
 def _scaled_to_integers(
-    matrix: Sequence[Sequence[Fraction]],
+    matrix: Sequence[Sequence[Fraction]], what: str = "costs"
 ) -> tuple[int, list[list[int]]]:
-    """Scale a rational matrix by the least common multiple of its
+    """Scale rational rows by the least common multiple of their
     denominators: (scale, the scaled rows as ints).
 
     The multiple is taken over the distinct denominators, and a ValueError
-    naming the limit is raised as soon as it has more digits than
-    `as_fraction` allows a number, so a matrix of many large coprime
-    denominators is refused before its scale grows without bound.
+    naming `what` and the limit is raised as soon as it has more digits than
+    `as_fraction` allows a number, so rows of many large coprime
+    denominators are refused before their scale grows without bound.
     """
     limit = _digit_limit()
     scale = 1
@@ -444,7 +444,7 @@ def _scaled_to_integers(
         scale = math.lcm(scale, denominator)
         if not _fits(scale, limit):
             raise ValueError(
-                f"the common denominator of the costs exceeds the limit of {limit} digits"
+                f"the common denominator of the {what} exceeds the limit of {limit} digits"
             )
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
 
@@ -613,8 +613,8 @@ def _basis_duals(
 ) -> tuple[DualCertificate, list[Cell]]:
     """Duals for a plan that came without any, and the zero-flow cells that
     complete its support to a basis: the lexicographically first cells that
-    connect it, taken after the plan's own.  NW corner and oracle plans are
-    basic; a plan whose support has a cycle raises CyclicBasisError."""
+    connect it, taken after the plan's own.  NW corner plans are basic; a
+    plan whose support has a cycle raises CyclicBasisError."""
     m, n = instance.m, instance.n
     tree, _ = _spanning_forest(m, n, chain(plan.cells(), product(range(m), range(n))))
     hints = [cell for cell in tree if cell not in plan.entries]

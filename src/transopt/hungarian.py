@@ -376,10 +376,7 @@ def min_weight_zero_cover(
     flow routed through each zero cell, which the extraction step reuses.
     """
     matrix = as_matrix(reduced)
-    supply_v = as_vector(supply)
-    demand_v = as_vector(demand)
-    _integer_marginals(supply_v, demand_v)
-    network = ZeroFlowNetwork(matrix, supply_v, demand_v)
+    network = ZeroFlowNetwork(matrix, as_vector(supply), as_vector(demand))
     cover, flow_value = _network_cover(network)
     return cover, flow_value, network.zero_cell_flow()
 
@@ -481,9 +478,9 @@ def _check_step(
     network: ZeroFlowNetwork,
 ) -> None:
     """Raise unless the delta step of iteration `step` raised the scaled dual
-    objective by exactly delta * (total - cover weight), and then raised the
-    max flow from `flow` or kept it and strictly grew the min cut's source
-    side from `side`; the second rule is what bounds the loop."""
+    objective by exactly delta * (total - cover weight), all in scaled units,
+    and then raised the max flow from `flow` or kept it and strictly grew the
+    min cut's source side from `side`; the second rule bounds the loop."""
     if gain != expected:
         raise RuntimeError(
             f"internal error: iteration {step}: the delta step raised the dual "
@@ -501,15 +498,17 @@ def _check_step(
 def solve_weighted_hungarian(
     instance: TransportInstance,
 ) -> tuple[TransportPlan, DualCertificate, SolveTrace]:
-    """Solve a balanced transportation problem with integer marginals.
+    """Solve a balanced transportation problem with rational marginals.
 
     Reduces the cost matrix, then repeats cover / delta step until the cover
     weight reaches the balanced total; the final flow is the plan and the
     duals are the certificate (checked before returning).  Every delta step
     is checked too, by `_check_step`, and a failed check raises RuntimeError.
-    Non-integer costs are scaled to integers first (`trace.scale`) and the
-    loop runs on plain ints, so the trace's matrices and deltas are `int`s;
-    the plan and certificate come back as Fractions in original units.
+    Costs are scaled to integers first (`trace.scale`) and the loop runs on
+    plain ints, so the trace's matrices and deltas are `int`s.  Marginals
+    are scaled alike, but only for the dual objective and the iteration
+    bound: the network keeps them as given, so flows, covers, the plan and
+    the certificate are Fractions in original units.
 
     One zero network serves the whole solve, its flow carried across delta
     steps.  Covers, flow values, deltas and matrices are those of a fresh
@@ -519,16 +518,16 @@ def solve_weighted_hungarian(
     matrix (`min_weight_zero_cover`), at equal cost.
     """
     supply, demand = instance.supply, instance.demand
-    supplies, demands = _integer_marginals(supply, demand)
+    unit, (supplies, demands) = _scaled_to_integers((supply, demand), "supplies and demands")
 
     scale, scaled_cost = _scaled_to_integers(instance.cost)
     alpha, beta = map(list, _start_duals(scaled_cost))
 
-    # Each delta step raises the integer flow, or keeps it while the min
-    # cut's source side strictly grows, which it can do at most m + n times
-    # in a row; so a correct loop ends within this many iterations.  Since
+    # Each delta step raises the flow by a multiple of 1 / unit, or keeps it
+    # while the min cut's source side strictly grows, at most m + n times in
+    # a row; so a correct loop ends within this many iterations.  Since
     # `_check_step` holds every step to that, the bound is a second guard.
-    bound = (int(instance.total) + 1) * (instance.m + instance.n + 1)
+    bound = (sum(supplies) + 1) * (instance.m + instance.n + 1)
     network = ZeroFlowNetwork(_reduced(scaled_cost, alpha, beta), supply, demand)
     objective = _dual_objective(alpha, beta, supplies, demands)
     iterations: list[HungarianIteration] = []
@@ -536,7 +535,7 @@ def solve_weighted_hungarian(
         if len(iterations) == bound:
             raise RuntimeError(
                 f"internal error: no optimum after {bound} iterations, the bound "
-                "(total + 1)(m + n + 1)"
+                "(total + 1)(m + n + 1) in scaled units"
             )
         cover, flow_value = _network_cover(network)
         duals = (scaled_cost, tuple(alpha), tuple(beta))
@@ -553,7 +552,7 @@ def solve_weighted_hungarian(
         network.update_zeros(_reduced(scaled_cost, alpha, beta))
         before, objective = objective, _dual_objective(alpha, beta, supplies, demands)
         _check_step(
-            step, objective - before, delta * (instance.total - cover.weight),
+            step, objective - before, delta * (instance.total - cover.weight) * unit,
             flow_value, side, network,
         )
 

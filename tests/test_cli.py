@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import digit_limit
+from helpers import digit_limit, random_instance
 from transopt import BalanceError, CyclicBasisError, TransportPlan, cli, hungarian, verify_optimal
 from transopt.cli import (
     ParseError,
@@ -20,7 +20,6 @@ from transopt.cli import (
     parse_instance,
     serialize_instance,
 )
-from transopt.oracle import OracleResult
 
 DATA = Path(__file__).parent / "data"
 WORKED = DATA / "worked_example.txt"
@@ -250,18 +249,24 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("method, path", [("hungarian", WORKED), ("nw", WORKED), ("oracle", TINY)])
     def test_certificate_is_checked_once(self, capsys, monkeypatch, method, path):
-        calls = []
+        # each plan is checked once: the solver checks its own, and the CLI
+        # checks an nw plan's basis duals or the oracle's plan against the
+        # solver's duals
+        calls = {hungarian: [], cli: []}
 
-        def counted(*args):
-            calls.append(args)
-            return verify_optimal(*args)
+        def counted(module):
+            def check(*args):
+                calls[module].append(args)
+                return verify_optimal(*args)
+            return check
 
-        monkeypatch.setattr(hungarian, "verify_optimal", counted)
-        monkeypatch.setattr(cli, "verify_optimal", counted)
+        for module in calls:
+            monkeypatch.setattr(module, "verify_optimal", counted(module))
         code, out, _ = run(capsys, "solve", str(path), "--method", method, "--certificate")
         assert code == 0
         assert "verified optimal: " in out
-        assert len(calls) == 1
+        expected = {"hungarian": (1, 0), "nw": (0, 1), "oracle": (1, 1)}[method]
+        assert (len(calls[hungarian]), len(calls[cli])) == expected
 
     def test_hungarian_golden_trace_bytes(self, capsys):
         code, out, _ = run(
@@ -389,28 +394,85 @@ class TestSolveCommand:
         }
 
     def test_cyclic_plan_is_an_internal_fault(self, tmp_path, monkeypatch, capsys):
-        # nw and oracle plans are basic (tests/test_core.py pins it); a stub
-        # stands in for one that is not, a fault that ends in a traceback
+        # nw plans are basic (tests/test_core.py pins it); a stub stands in
+        # for one that is not, a fault that ends in a traceback
         path = tmp_path / "flat.txt"
         path.write_text("2 2\n0 0\n0 0\n2 2\n2 2\n")
-        cyclic = OracleResult(
-            Fraction(0), TransportPlan({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}), 1
-        )
-        monkeypatch.setattr(cli, "enumerate_optimum", lambda instance: cyclic)
+        cyclic = TransportPlan({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+        monkeypatch.setattr(cli, "north_west_corner", lambda instance: cyclic)
         for json_flag in ([], ["--json"]):
             with pytest.raises(CyclicBasisError, match=r"closed at cell \(1, 1\)"):
-                cli.main(["solve", str(path), "--method", "oracle", "--certificate", *json_flag])
+                cli.main(["solve", str(path), "--method", "nw", "--certificate", *json_flag])
             assert capsys.readouterr().out == ""
+
+    def test_oracle_plan_is_certified_by_the_solver_duals(self, tmp_path, capsys):
+        # the plan ships 1 at (2, 2) for cost 2, which is optimal; a basis
+        # completed without the costs gave it infeasible duals
+        path = tmp_path / "degenerate.txt"
+        path.write_text("2 2\n5 1\n1 2\n0 1\n0 1\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "oracle", "--certificate")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "plan:", "  (2, 2) = 1", "total cost = 2", "certificate:",
+            "  alpha: 1 2", "  beta: -1 0", "  verified optimal: yes",
+        ]
+
+    def test_no_oracle_plan_is_refused_a_certificate(self, monkeypatch, capsys):
+        rng = random.Random(5)
+        instances = [
+            random_instance(rng, max_dim=4, max_total=12, cost_low=0, cost_high=5)
+            for _ in range(3000)
+        ]
+        args = cli.build_parser().parse_args(["solve", "-", "--method", "oracle", "--certificate"])
+        monkeypatch.setattr(cli, "_load_instance", lambda path: instances.pop())
+        refused = []
+        while instances:
+            assert cli._cmd_solve(args) == 0
+            out = capsys.readouterr().out
+            assert "basis hints" not in out
+            if "verified optimal: yes" not in out:
+                refused.append(out)
+        assert refused == []
 
     def test_oracle_guard_gives_exit_3(self, capsys):
         code, _, err = run(capsys, "solve", str(WORKED), "--method", "oracle")
         assert code == 3
         assert "size guard" in err
 
-    def test_hungarian_fractional_marginals_exit_3(self, capsys):
-        code, _, err = run(capsys, "solve", str(HALVES), "--method", "hungarian")
-        assert code == 3
-        assert "integer supplies and demands" in err
+    def test_hungarian_solves_fractional_marginals(self, capsys):
+        code, out, err = run(
+            capsys, "solve", str(HALVES), "--method", "hungarian", "--trace", "--certificate"
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for line in ("  (1, 1) = 1/2", "  (2, 2) = 1/2", "total cost = 0", "  verified optimal: yes"):
+            assert line in lines
+
+    def test_problem_p_file_solves_as_nw_does(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "generate", "problemp", "--f", "square", "--x", "0", "1", "3",
+            "--y", "0", "2", "5", "--p-row", "1/2", "1/3", "1/6", "--p-col", "1/4", "1/4", "1/2",
+        )
+        assert code == 0
+        path = tmp_path / "p.txt"
+        path.write_text(out)
+        for method in ("hungarian", "nw"):
+            code, solved, err = run(capsys, "solve", str(path), "--method", method, "--certificate")
+            assert (code, err) == (0, "")
+            assert "total cost = 7" in solved.splitlines()
+            assert "  verified optimal: yes" in solved.splitlines()
+
+    def test_marginal_denominator_over_the_digit_limit_exit_3(self, tmp_path, capsys):
+        limit = digit_limit()
+        a = 10 ** (limit // 2 + 1) + 1  # a and a + 2 are coprime
+        path = tmp_path / "marginals.txt"
+        path.write_text(f"2 2\n0 1\n1 0\n1/{a} {a - 1}/{a}\n1/{a + 2} {a + 1}/{a + 2}\n")
+        message = (
+            f"the common denominator of the supplies and demands exceeds the limit of "
+            f"{limit} digits"
+        )
+        code, out, err = run(capsys, "solve", str(path), "--method", "hungarian")
+        assert (code, out, err) == (3, "", f"error: method hungarian: {message}\n")
 
     def test_nw_handles_fractional_marginals(self, capsys):
         code, out, _ = run(capsys, "solve", str(HALVES), "--method", "nw")
@@ -516,6 +578,18 @@ class TestSolveCommand:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_invalid_utf8_after_a_byte_order_mark_is_placed_from_the_file_start(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bom_latin.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 1\n\xff\xfe\n1\n1\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "nw")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+            "position 7: invalid start byte\n"
+        )
 
     def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
         # as Notepad writes UTF-8: the bytes ef bb bf before the first line

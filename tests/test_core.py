@@ -439,7 +439,7 @@ class TestComputeDuals:
 
 class TestBasicPlans:
     def test_nw_and_oracle_plans_have_acyclic_support(self):
-        # `solve --certificate` completes these plans' bases with
+        # `solve --method nw --certificate` completes an NW plan's basis with
         # `_basis_duals`, which a cycle in the support would make fail; costs
         # 0..2 give many ties, so the oracle picks among many optima
         rng = random.Random(19)

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import composition, random_instance
+from helpers import CONVEX_SHAPES, composition, digit_limit, random_instance
 from transopt import hungarian
 from transopt import (
     HungarianIteration,
     OptimalityReport,
+    ProblemPSpec,
     TransportPlan,
     aggregate_assignment_solution,
+    check_monge,
     delta_adjust,
     dual_objective,
     enumerate_assignment,
@@ -24,7 +26,9 @@ from transopt import (
     line_cover,
     min_weight_zero_cover,
     new_instance,
+    north_west_corner,
     plan_cost,
+    problem_p_instance,
     reduce_matrix,
     solve_assignment,
     solve_weighted_hungarian,
@@ -197,9 +201,15 @@ class TestMinWeightZeroCover:
         assert cover.weight == 3
         assert zero_flow == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
 
-    def test_non_integer_marginals_rejected(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            min_weight_zero_cover([[0]], [Fraction(1, 2)], [Fraction(1, 2)])
+    def test_non_integer_marginals_are_covered(self):
+        # the max flow is exact on rational capacities: 1/3 on each zero,
+        # and the cheapest cover is row 2 with column 1, not both rows
+        cover, flow, zero_flow = min_weight_zero_cover(
+            [[0, 1], [1, 0]], ["1/2", "1/3"], ["1/3", "1/2"]
+        )
+        assert flow == cover.weight == Fraction(2, 3)
+        assert (cover.rows, cover.cols) == ({1}, {0})
+        assert zero_flow == {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 3)}
 
     @pytest.mark.parametrize("matrix", [[[0, 0, 0]], [[0], [0]]])
     def test_shape_mismatch_rejected(self, matrix):
@@ -320,9 +330,76 @@ class TestSolveWeightedHungarian:
         assert plan_cost(inst, plan) == enumerate_optimum(inst).optimum
         assert verify_optimal(inst, plan, cert)
 
-    def test_non_integer_marginals_rejected(self):
-        inst = new_instance([[0, 1], [1, 0]], ["1/2", "1/2"], ["1/2", "1/2"])
-        with pytest.raises(ValueError, match="not an integer"):
+    def test_non_integer_marginals_are_solved(self, worked_instance, worked_plan):
+        halves = new_instance([[0, 1], [1, 0]], ["1/2", "1/2"], ["1/2", "1/2"])
+        plan, cert, _ = solve_weighted_hungarian(halves)
+        assert plan == TransportPlan({(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        assert verify_optimal(halves, plan, cert)
+        # every marginal divided by 7: the same duals, matrices and deltas,
+        # and flows, covers and the plan divided by 7
+        sevenths = new_instance(
+            worked_instance.cost,
+            [v / 7 for v in worked_instance.supply],
+            [v / 7 for v in worked_instance.demand],
+        )
+        plan, cert, trace = solve_weighted_hungarian(sevenths)
+        assert plan == TransportPlan({cell: q / 7 for cell, q in worked_plan.entries.items()})
+        assert (cert.alpha, cert.beta) == ((3, 5, 5), (-4, -1, 0, -2))
+        assert [it.matrix for it in trace.iterations] == [REDUCED_START, REDUCED_AFTER1, REDUCED_AFTER2]
+        assert [it.delta for it in trace.iterations] == [2, 2, None]
+        assert [it.cover.weight for it in trace.iterations] == [
+            Fraction(12, 7), Fraction(13, 7), Fraction(15, 7)
+        ]
+        assert [it.flow_value for it in trace.iterations] == [
+            Fraction(12, 7), Fraction(13, 7), Fraction(15, 7)
+        ]
+
+    def test_problem_p_optimum_is_the_nw_cost(self):
+        # convex f(x[i] - y[j]) on sorted x and y is Monge, so the NW plan is
+        # optimal; the marginals are distributions with unlike denominators
+        rng = random.Random(27)
+        for _ in range(120):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            x = sorted(rng.randint(-20, 20) for _ in range(m))
+            y = sorted(rng.randint(-20, 20) for _ in range(n))
+            p_row, p_col = (
+                [Fraction(k, d) for k in composition(rng, d, parts)]
+                for d, parts in ((rng.randint(1, 10**6), m), (rng.randint(1, 10**6), n))
+            )
+            shape = rng.choice(sorted(CONVEX_SHAPES))
+            inst = problem_p_instance(ProblemPSpec(x, y, p_row, p_col, CONVEX_SHAPES[shape]))
+            plan, cert, _ = solve_weighted_hungarian(inst)
+            nw = north_west_corner(inst)
+            assert plan_cost(inst, plan) == plan_cost(inst, nw), inst
+            assert verify_optimal(inst, nw, cert), inst
+
+    def test_optimum_scales_with_the_marginals(self):
+        # dividing every marginal by `unit` divides the optimum by it; the
+        # oracle enumerates only integer plans, so it solves the undivided one
+        rng = random.Random(28)
+        checked = 0
+        while checked < 400:
+            inst = random_instance(rng, max_dim=4, max_total=12)
+            if check_monge(inst.cost).holds:
+                continue
+            unit = rng.choice((2, 3, 7, 10, 12, 97))
+            divided = new_instance(
+                inst.cost, [v / unit for v in inst.supply], [v / unit for v in inst.demand]
+            )
+            plan, _, _ = solve_weighted_hungarian(divided)
+            assert plan_cost(divided, plan) * unit == enumerate_optimum(inst).optimum, inst
+            checked += 1
+
+    def test_marginals_over_the_digit_limit_are_refused(self):
+        limit = digit_limit()
+        a = 10 ** (limit // 2 + 1) + 1  # a and a + 2 are coprime
+        inst = new_instance([[0, 1], [1, 0]], [Fraction(1, a), 1 - Fraction(1, a)],
+                            [Fraction(1, a + 2), 1 - Fraction(1, a + 2)])
+        message = (
+            f"^the common denominator of the supplies and demands exceeds the limit of "
+            f"{limit} digits$"
+        )
+        with pytest.raises(ValueError, match=message):
             solve_weighted_hungarian(inst)
 
     def test_a_step_that_changes_nothing_hits_the_iteration_bound(
