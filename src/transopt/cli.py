@@ -11,8 +11,7 @@ allowed anywhere, numbers as `core.as_fraction` reads them, e.g. 5/2):
 Exit codes: 0 success (for check-monge: condition holds), 1 check-monge
 violation, 2 input error (unreadable file, parse error, invalid data, or a
 result with a number of more digits than `str` prints), 3 method
-precondition failure (e.g. the oracle on non-integer marginals, or an
-oracle size guard).
+precondition failure (e.g. an oracle size guard).
 
 All human-facing indices are 1-based.
 """
@@ -233,6 +232,7 @@ def _solve_document(
     plan: TransportPlan,
     trace: SolveTrace | None,
     cert: DualCertificate | None,
+    verified: bool,
 ) -> dict:
     """The result of `solve` as `--json` prints it (docs/result_schema.json):
     rationals are strings and indices 1-based.  The instance block is built
@@ -270,9 +270,7 @@ def _solve_document(
             for it in trace.iterations
         ]
     if args.certificate:
-        doc["certificate"] = _certificate_json(
-            instance, plan, cert, verified=args.method == "hungarian"
-        )
+        doc["certificate"] = _certificate_json(instance, plan, cert, verified)
     return doc
 
 
@@ -343,6 +341,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.file)
     trace: SolveTrace | None = None
     cert: DualCertificate | None = None
+    verified = args.method == "hungarian"
     try:
         if args.method == "hungarian":
             plan, cert, trace = solve_weighted_hungarian(instance)
@@ -352,11 +351,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             plan = enumerate_optimum(instance).plan
             if args.certificate:
                 # any optimal duals certify every optimal plan, so the
-                # solver's are checked against the oracle's own plan
-                cert = solve_weighted_hungarian(instance)[1]
+                # solver's are checked against the oracle's own plan,
+                # unless the solver has already checked that plan
+                solved, cert, _ = solve_weighted_hungarian(instance)
+                verified = solved == plan
     except ValueError as exc:  # size guards and method preconditions
         raise CommandError(EXIT_PRECONDITION, f"method {args.method}: {exc}") from exc
-    doc = _solve_document(args, instance, plan, trace, cert)
+    doc = _solve_document(args, instance, plan, trace, cert, verified)
     if args.json:
         import json  # imported here so that the other commands do not pay for it
 

@@ -413,20 +413,6 @@ def _nonnegative_marginals(
                 raise ValueError(f"{label} {k} is negative: {v}")
 
 
-def _integer_marginals(
-    supply: Sequence[Fraction], demand: Sequence[Fraction]
-) -> tuple[list[int], list[int]]:
-    """Supplies and demands as ints; the first non-integer raises ValueError."""
-    for label, values in (("supply", supply), ("demand", demand)):
-        for k, v in enumerate(values):
-            if v.denominator != 1:
-                raise ValueError(
-                    f"{label} {k} is not an integer: {v}; "
-                    "integer supplies and demands required"
-                )
-    return [v.numerator for v in supply], [v.numerator for v in demand]
-
-
 def _scaled_to_integers(
     matrix: Sequence[Sequence[Fraction]], what: str = "costs"
 ) -> tuple[int, list[list[int]]]:

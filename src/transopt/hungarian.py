@@ -40,7 +40,6 @@ from .core import (
     TransportPlan,
     _as_index,
     _dual_objective,
-    _integer_marginals,
     _nonnegative_marginals,
     _scaled_to_integers,
     _value_type,
@@ -577,14 +576,19 @@ def expand_to_assignment(
     instance: TransportInstance, max_total: int = 64
 ) -> tuple[Matrix, tuple[int, ...], tuple[int, ...]]:
     """Blow a transportation instance up to an equivalent square assignment
-    problem by replicating row i supply[i] times and column j demand[j] times.
+    problem by replicating row i supply[i] times and column j demand[j] times,
+    so the supplies and demands must be integers.
 
     Returns the expanded matrix plus the maps from expanded row/column index
     back to the original row/column.  This is a cross-validation device, so
     the order is capped (default 64) against accidental quadratic blowup.
     """
-    supply, demand = _integer_marginals(instance.supply, instance.demand)
-    order = int(instance.total)
+    unit, (supply, demand) = _scaled_to_integers(
+        (instance.supply, instance.demand), "supplies and demands"
+    )
+    if unit != 1:
+        raise ValueError(f"integer supplies and demands required, not units of 1/{unit}")
+    order = sum(supply)
     if order > max_total:
         raise ValueError(f"expansion cap exceeded: balanced total {order} > {max_total}")
     row_map = tuple(i for i in range(instance.m) for _ in range(supply[i]))

@@ -1,9 +1,9 @@
 """Brute-force ground truth for tiny instances.
 
-Enumerates every integer-valued feasible plan (the transportation polytope has
-integral vertices for integer marginals, so this finds the true optimum) and
-every permutation for small assignment problems.  Used to validate all solver
-paths; guarded against anything bigger than desk scale.
+Enumerates every feasible plan in units of 1/unit, unit the common denominator
+of the marginals (the scaled polytope has integral vertices, so this finds the
+true optimum), and every permutation for small assignment problems.  Used to
+validate all solver paths; guarded against anything bigger than desk scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
-    _integer_marginals,
+    _scaled_to_integers,
     _value_type,
     as_matrix,
 )
@@ -28,7 +28,7 @@ __all__ = ["OracleResult", "enumerate_assignment", "enumerate_optimum"]
 class OracleResult:
     optimum: Fraction
     plan: TransportPlan
-    optimal_count: int  # how many enumerated integer plans achieve the optimum
+    optimal_count: int  # how many plans in units of 1/unit achieve the optimum
 
 
 def enumerate_optimum(
@@ -36,19 +36,24 @@ def enumerate_optimum(
     max_total: int = 12,
     max_cells: int = 16,
 ) -> OracleResult:
-    """Exact minimum over all integer feasible plans, by cell-wise recursion.
+    """Exact minimum over all feasible plans in units of 1/unit, unit the
+    common denominator of the supplies and demands, by cell-wise recursion.
 
     Assigns x[0][0], x[0][1], ... row by row, pruning with remaining supply and
     demand bounds.  Ties break to the lexicographically smallest flattened plan
     (the first one met in ascending enumeration order).  Size guards reject
-    instances whose balanced total exceeds max_total or with more than
-    max_cells cells.
+    instances whose balanced total exceeds max_total units of 1/unit or with
+    more than max_cells cells.
     """
-    supply, demand = _integer_marginals(instance.supply, instance.demand)
+    unit, (supply, demand) = _scaled_to_integers(
+        (instance.supply, instance.demand), "supplies and demands"
+    )
     m, n = instance.m, instance.n
-    if instance.total > max_total:
+    units = sum(supply)
+    if units > max_total:
+        counted = "" if unit == 1 else f" ({units} units of 1/{unit})"
         raise ValueError(
-            f"size guard exceeded: balanced total {instance.total} > {max_total}"
+            f"size guard exceeded: balanced total {instance.total}{counted} > {max_total}"
         )
     if m * n > max_cells:
         raise ValueError(f"size guard exceeded: {m}x{n} has more than {max_cells} cells")
@@ -90,7 +95,8 @@ def enumerate_optimum(
 
     walk(0, 0, supply[0] if m else 0, Fraction(0))
     assert best_cost is not None  # balanced instances always have a feasible plan
-    return OracleResult(best_cost, TransportPlan(best_plan), best_count)
+    plan = TransportPlan({cell: Fraction(q, unit) for cell, q in best_plan.items()})
+    return OracleResult(best_cost / unit, plan, best_count)
 
 
 def enumerate_assignment(

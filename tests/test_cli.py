@@ -26,6 +26,7 @@ WORKED = DATA / "worked_example.txt"
 TINY = DATA / "tiny.txt"
 RATIONAL = DATA / "rational.txt"
 HALVES = DATA / "halves.txt"
+ADDITIVE = DATA / "additive.txt"
 GOLDEN_TRACE = DATA / "worked_hungarian_trace.txt"
 GOLDEN_JSON = DATA / "worked_hungarian.json"
 
@@ -247,11 +248,15 @@ class TestSolveCommand:
         assert "total cost = 47" in out
         assert "verified optimal: yes" in out
 
-    @pytest.mark.parametrize("method, path", [("hungarian", WORKED), ("nw", WORKED), ("oracle", TINY)])
+    @pytest.mark.parametrize(
+        "method, path",
+        [("hungarian", WORKED), ("nw", WORKED), ("oracle", TINY),
+         pytest.param("oracle", ADDITIVE, id="oracle-other-plan")],
+    )
     def test_certificate_is_checked_once(self, capsys, monkeypatch, method, path):
         # each plan is checked once: the solver checks its own, and the CLI
-        # checks an nw plan's basis duals or the oracle's plan against the
-        # solver's duals
+        # checks an nw plan's basis duals, or the solver's duals against an
+        # oracle plan that is not the solver's
         calls = {hungarian: [], cli: []}
 
         def counted(module):
@@ -265,7 +270,9 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", str(path), "--method", method, "--certificate")
         assert code == 0
         assert "verified optimal: " in out
-        expected = {"hungarian": (1, 0), "nw": (0, 1), "oracle": (1, 1)}[method]
+        expected = {"hungarian": (1, 0), "nw": (0, 1), "oracle": (1, 0)}[method]
+        if path == ADDITIVE:  # the oracle's plan is not the solver's
+            expected = (1, 1)
         assert (len(calls[hungarian]), len(calls[cli])) == expected
 
     def test_hungarian_golden_trace_bytes(self, capsys):
@@ -473,6 +480,26 @@ class TestSolveCommand:
         )
         code, out, err = run(capsys, "solve", str(path), "--method", "hungarian")
         assert (code, out, err) == (3, "", f"error: method hungarian: {message}\n")
+
+    def test_oracle_marginal_denominator_over_the_digit_limit_exit_3(self, tmp_path, capsys):
+        limit = digit_limit()
+        a = 10 ** (limit // 2 + 1) + 1  # a and a + 2 are coprime
+        path = tmp_path / "marginals.txt"
+        path.write_text(f"2 2\n0 1\n1 0\n1/{a} {a - 1}/{a}\n1/{a + 2} {a + 1}/{a + 2}\n")
+        message = (
+            f"the common denominator of the supplies and demands exceeds the limit of "
+            f"{limit} digits"
+        )
+        code, out, err = run(capsys, "solve", str(path), "--method", "oracle")
+        assert (code, out, err) == (3, "", f"error: method oracle: {message}\n")
+
+    def test_oracle_solves_fractional_marginals(self, capsys):
+        code, out, err = run(capsys, "solve", str(HALVES), "--method", "oracle", "--certificate")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "method: oracle", "plan:", "  (1, 1) = 1/2", "  (2, 2) = 1/2", "total cost = 0",
+            "certificate:", "  alpha: 0 0", "  beta: 0 0", "  verified optimal: yes",
+        ]
 
     def test_nw_handles_fractional_marginals(self, capsys):
         code, out, _ = run(capsys, "solve", str(HALVES), "--method", "nw")

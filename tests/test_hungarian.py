@@ -374,8 +374,8 @@ class TestSolveWeightedHungarian:
             assert verify_optimal(inst, nw, cert), inst
 
     def test_optimum_scales_with_the_marginals(self):
-        # dividing every marginal by `unit` divides the optimum by it; the
-        # oracle enumerates only integer plans, so it solves the undivided one
+        # dividing every marginal by `unit` divides the optimum by it, which
+        # the oracle finds on the undivided instance
         rng = random.Random(28)
         checked = 0
         while checked < 400:
@@ -725,6 +725,11 @@ class TestExpansion:
     def test_cap_enforced(self, worked_instance):
         with pytest.raises(ValueError, match="cap"):
             expand_to_assignment(worked_instance, max_total=10)
+
+    def test_non_integer_marginals_refused(self):
+        halves = parse_instance((DATA / "halves.txt").read_text())
+        with pytest.raises(ValueError, match="^integer supplies and demands required"):
+            expand_to_assignment(halves)
 
 
 class TestSolveAssignment:

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_instance
+from helpers import CONVEX_SHAPES, composition, random_instance
 from transopt import (
+    ProblemPSpec,
     TransportPlan,
     enumerate_assignment,
     enumerate_optimum,
     is_feasible,
     new_instance,
+    north_west_corner,
     plan_cost,
+    problem_p_instance,
+    solve_weighted_hungarian,
 )
 
 
@@ -61,10 +65,50 @@ class TestEnumerateOptimum:
         with pytest.raises(ValueError, match="cells"):
             enumerate_optimum(inst)
 
-    def test_non_integer_marginals_rejected(self):
+    def test_non_integer_marginals_are_enumerated(self):
         inst = new_instance([[0]], [Fraction(1, 2)], [Fraction(1, 2)])
-        with pytest.raises(ValueError, match="not an integer"):
+        result = enumerate_optimum(inst)
+        assert result.optimum == 0
+        assert result.plan == TransportPlan({(0, 0): Fraction(1, 2)})
+
+    def test_rational_marginals_match_the_hungarian_solver(self):
+        # marginals s / unit: the oracle enumerates plans in units of 1/unit
+        rng = random.Random(5)
+        for _ in range(400):
+            inst = random_instance(rng, max_dim=4, max_total=12, cost_low=-5)
+            unit = rng.choice((2, 3, 4, 7, 12))
+            divided = new_instance(
+                inst.cost, [v / unit for v in inst.supply], [v / unit for v in inst.demand]
+            )
+            result = enumerate_optimum(divided)
+            plan, _, _ = solve_weighted_hungarian(divided)
+            assert result.optimum == plan_cost(divided, plan), divided
+            assert is_feasible(divided, result.plan), divided
+            assert plan_cost(divided, result.plan) == result.optimum, divided
+
+    def test_problem_p_optimum_is_the_nw_cost(self):
+        # convex f(x[i] - y[j]) on sorted x and y is Monge, so the NW plan is
+        # optimal; the marginals are distributions with unlike denominators
+        rng = random.Random(28)
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            x = sorted(rng.randint(-5, 5) for _ in range(m))
+            y = sorted(rng.randint(-5, 5) for _ in range(n))
+            p_row, p_col = (
+                [Fraction(k, d) for k in composition(rng, d, parts)]
+                for d, parts in ((rng.randint(1, 4), m), (rng.randint(1, 3), n))
+            )
+            shape = rng.choice(sorted(CONVEX_SHAPES))
+            inst = problem_p_instance(ProblemPSpec(x, y, p_row, p_col, CONVEX_SHAPES[shape]))
+            nw = north_west_corner(inst)
+            assert enumerate_optimum(inst).optimum == plan_cost(inst, nw), inst
+
+    def test_total_guard_counts_scaled_units(self):
+        inst = new_instance([[0, 1]], [Fraction(13, 2)], [3, Fraction(7, 2)])
+        message = r"^size guard exceeded: balanced total 13/2 \(13 units of 1/2\) > 12$"
+        with pytest.raises(ValueError, match=message):
             enumerate_optimum(inst)
+        assert enumerate_optimum(inst, max_total=13).optimum == Fraction(7, 2)
 
     def test_plan_is_always_feasible_and_optimum_a_lower_bound(self):
         rng = random.Random(43)
