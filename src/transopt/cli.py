@@ -426,7 +426,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     try:
         if kind == "survey":
-            cost = [[abs(i - j) for j in range(n)] for i in range(m)]
+            cost = convex_diff_cost(range(m), range(n), abs)
             supply = supply or [Fraction(1)] * m
             demand = demand or [Fraction(1)] * n
             instance = new_instance(cost, supply, demand)

@@ -128,7 +128,7 @@ class HungarianIteration:
     matrix: Matrix
     cover: LineCover
     flow_value: Fraction
-    delta: Fraction | None
+    delta: Number | None
 
     def __getattr__(self, name: str):
         # only reached for attributes the instance lacks, such as the matrix
@@ -324,11 +324,18 @@ class ZeroFlowNetwork:
 
     def min_cut_cover(self) -> LineCover:
         """Canonical minimum cut read as covering lines: rows the source can
-        no longer reach, columns it still can."""
-        reachable = self.source_side()
+        no longer reach, columns it still can.  RuntimeError (an internal
+        fault) unless it weighs the max flow and covers every zero cell."""
+        reachable, flow = self.source_side(), self.max_flow()
         rows = [i for i in range(self.m) if 1 + i not in reachable]
         cols = [j for j in range(self.n) if 1 + self.m + j in reachable]
-        return line_cover(rows, cols, self.supply, self.demand)
+        cover = line_cover(rows, cols, self.supply, self.demand)
+        if cover.weight != flow:
+            raise RuntimeError(f"min-cut weight {cover.weight} differs from max-flow {flow}")
+        for i, j in self.zero_cells:
+            if i not in cover.rows and j not in cover.cols:
+                raise RuntimeError(f"derived cover misses the zero at {(i, j)}")
+        return cover
 
 
 def reduce_matrix(
@@ -376,23 +383,7 @@ def min_weight_zero_cover(
     """
     matrix = as_matrix(reduced)
     network = ZeroFlowNetwork(matrix, as_vector(supply), as_vector(demand))
-    cover, flow_value = _network_cover(network)
-    return cover, flow_value, network.zero_cell_flow()
-
-
-def _network_cover(network: ZeroFlowNetwork) -> tuple[LineCover, Fraction]:
-    """Max flow and min-cut cover of the network, checked: the cover weighs
-    exactly the flow and leaves none of the network's zero cells uncovered."""
-    flow_value = network.max_flow()
-    cover = network.min_cut_cover()
-    if cover.weight != flow_value:
-        raise RuntimeError(
-            f"min-cut weight {cover.weight} differs from max-flow {flow_value}"
-        )
-    for i, j in network.zero_cells:
-        if i not in cover.rows and j not in cover.cols:
-            raise RuntimeError(f"derived cover misses the zero at {(i, j)}")
-    return cover, flow_value
+    return network.min_cut_cover(), network.max_flow(), network.zero_cell_flow()
 
 
 def delta_adjust(
@@ -536,7 +527,7 @@ def solve_weighted_hungarian(
                 f"internal error: no optimum after {bound} iterations, the bound "
                 "(total + 1)(m + n + 1) in scaled units"
             )
-        cover, flow_value = _network_cover(network)
+        cover, flow_value = network.min_cut_cover(), network.max_flow()
         duals = (scaled_cost, tuple(alpha), tuple(beta))
         if flow_value == instance.total:
             iterations.append(_recorded(duals, cover, flow_value, None))

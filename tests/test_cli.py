@@ -758,6 +758,16 @@ class TestGenerateCommand:
         assert code == 0
         assert out == "3 3\n0 1 2\n1 0 1\n2 1 0\n1 1 1\n1 1 1\n"
 
+    def test_survey_is_the_convexdiff_abs_instance_on_0_to_m_minus_1(self, capsys):
+        survey = run(capsys, "generate", "survey", "4", "4")
+        convexdiff = run(
+            capsys, "generate", "convexdiff", "--f", "abs", "--x", "0", "1", "2", "3",
+            "--y", "0", "1", "2", "3", "--supply", "1", "1", "1", "1",
+            "--demand", "1", "1", "1", "1",
+        )
+        assert survey == convexdiff
+        assert survey[0] == 0
+
     def test_survey_imbalanced_defaults_exit_2(self, capsys):
         code, _, err = run(capsys, "generate", "survey", "2", "3")
         assert code == 2

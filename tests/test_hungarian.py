@@ -49,6 +49,18 @@ COVER1 = (frozenset({0}), frozenset({0, 1, 3}))
 COVER2 = (frozenset({0, 2}), frozenset({0}))
 
 
+# faulty stand-ins for `hungarian.line_cover`: one weight too many, or no
+# line at the true weight
+def _heavier_cover(rows, cols, supply, demand):
+    cover = line_cover(rows, cols, supply, demand)
+    return hungarian.LineCover(cover.rows, cover.cols, cover.weight + 1)
+
+
+def _empty_cover(rows, cols, supply, demand):
+    weight = line_cover(rows, cols, supply, demand).weight
+    return hungarian.LineCover(frozenset(), frozenset(), weight)
+
+
 class TestReduceMatrix:
     def test_worked_example_reduction(self, worked_instance):
         reduced, row_offsets, col_offsets = reduce_matrix(worked_instance.cost)
@@ -143,6 +155,24 @@ class TestZeroFlowNetwork:
             ZeroFlowNetwork(as_matrix([[0]]), as_vector([-1]), as_vector([-1]))
         with pytest.raises(ValueError, match="demand 1 is negative: -1/2"):
             ZeroFlowNetwork(as_matrix([[0, 0]]), as_vector([0]), as_vector([1/2, -1/2]))
+
+    @pytest.mark.parametrize(
+        "faulty_cover, message",
+        [
+            (_heavier_cover, r"^min-cut weight 13 differs from max-flow 12$"),
+            (_empty_cover, r"^derived cover misses the zero at \(0, 2\)$"),
+        ],
+        ids=["heavier", "empty"],
+    )
+    def test_min_cut_cover_checks_the_cover_it_reads(
+        self, worked_instance, monkeypatch, faulty_cover, message
+    ):
+        from transopt import ZeroFlowNetwork
+
+        network = ZeroFlowNetwork(REDUCED_START, worked_instance.supply, worked_instance.demand)
+        monkeypatch.setattr(hungarian, "line_cover", faulty_cover)
+        with pytest.raises(RuntimeError, match=message):
+            network.min_cut_cover()
 
     def test_size_guard_refuses_before_allocating(self, worked_instance, monkeypatch):
         from transopt import ZeroFlowNetwork
@@ -483,23 +513,14 @@ class TestSolveWeightedHungarian:
     def test_a_cover_heavier_than_the_flow_is_an_internal_error(
         self, worked_instance, monkeypatch
     ):
-        cut = hungarian.ZeroFlowNetwork.min_cut_cover
-
-        def heavier(network):
-            cover = cut(network)
-            return hungarian.LineCover(cover.rows, cover.cols, cover.weight + 1)
-
-        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "min_cut_cover", heavier)
+        monkeypatch.setattr(hungarian, "line_cover", _heavier_cover)
         with pytest.raises(RuntimeError, match=r"^min-cut weight 13 differs from max-flow 12$"):
             solve_weighted_hungarian(worked_instance)
 
     def test_a_cover_that_leaves_a_zero_is_an_internal_error(
         self, worked_instance, monkeypatch
     ):
-        def empty(network):
-            return hungarian.LineCover(frozenset(), frozenset(), network.max_flow())
-
-        monkeypatch.setattr(hungarian.ZeroFlowNetwork, "min_cut_cover", empty)
+        monkeypatch.setattr(hungarian, "line_cover", _empty_cover)
         # the first zero of REDUCED_START in row-major order
         with pytest.raises(RuntimeError, match=r"^derived cover misses the zero at \(0, 2\)$"):
             solve_weighted_hungarian(worked_instance)
