@@ -89,9 +89,10 @@ class LineCover:
 def line_cover(
     rows: Iterable[int],
     cols: Iterable[int],
-    supply: Sequence[Fraction],
-    demand: Sequence[Fraction],
+    supply: Iterable[Numberish],
+    demand: Iterable[Numberish],
 ) -> LineCover:
+    supply, demand = as_vector(supply), as_vector(demand)
     row_set, col_set = _covered_lines(rows, cols, len(supply), len(demand))
     weight = sum((supply[i] for i in row_set), Fraction(0)) + sum(
         (demand[j] for j in col_set), Fraction(0)
@@ -199,22 +200,20 @@ class ZeroFlowNetwork:
     def __init__(
         self,
         reduced: Matrix,
-        supply: Sequence[Fraction],
-        demand: Sequence[Fraction],
+        supply: Iterable[Numberish],
+        demand: Iterable[Numberish],
     ) -> None:
-        self.m = len(supply)
-        self.n = len(demand)
+        self.supply, self.demand = as_vector(supply), as_vector(demand)
+        self.m, self.n = len(self.supply), len(self.demand)
         if self.m + self.n > MAX_NETWORK_LINES:
             raise ValueError(
                 f"zero network of a {self.m} x {self.n} instance has {self.m + self.n} "
                 f"lines, over the limit of {MAX_NETWORK_LINES}"
             )
-        self.supply = tuple(supply)
-        self.demand = tuple(demand)
         _nonnegative_marginals(self.supply, self.demand)
         self.source = 0
         self.sink = self.m + self.n + 1
-        self._unbounded = sum(supply, Fraction(0)) + 1
+        self._unbounded = sum(self.supply, Fraction(0)) + 1
         self.zero_cells: list[Cell] = []
         self._clear_flow()
         self.update_zeros(reduced)
@@ -381,8 +380,7 @@ def min_weight_zero_cover(
     Returns the cover, the max-flow value (equal to the cover weight), and the
     flow routed through each zero cell, which the extraction step reuses.
     """
-    matrix = as_matrix(reduced)
-    network = ZeroFlowNetwork(matrix, as_vector(supply), as_vector(demand))
+    network = ZeroFlowNetwork(as_matrix(reduced), supply, demand)
     return network.min_cut_cover(), network.max_flow(), network.zero_cell_flow()
 
 

@@ -1008,6 +1008,19 @@ class TestEntryPoint:
         assert "transopt.cli" in added
         assert not {"dataclasses", "inspect", "json"} & added
 
+    def test_import_loads_the_four_layer_modules(self):
+        # perfbench/traced_cli.py imports transopt.cli and then wraps
+        # functions of the modules that import loaded, so none may be lazy
+        script = (
+            "import sys\n"
+            "import transopt.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('transopt.')))\n"
+        )
+        proc = self.python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        layers = {"transopt.core", "transopt.hungarian", "transopt.nwcorner", "transopt.oracle"}
+        assert layers <= set(proc.stdout.decode().split())
+
     def test_module_entry_prints_the_golden_trace(self):
         proc = self.python(
             "-m", "transopt.cli", "solve", "tests/data/worked_example.txt",

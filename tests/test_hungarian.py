@@ -156,6 +156,28 @@ class TestZeroFlowNetwork:
         with pytest.raises(ValueError, match="demand 1 is negative: -1/2"):
             ZeroFlowNetwork(as_matrix([[0, 0]]), as_vector([0]), as_vector([1/2, -1/2]))
 
+    def test_marginals_are_read_as_new_instance_reads_them(self):
+        from transopt import ZeroFlowNetwork
+
+        network = ZeroFlowNetwork(((0,),), [0.5], ["1/2"])
+        assert network.supply == network.demand == (Fraction(1, 2),)
+        flow = network.max_flow()
+        assert flow == Fraction(1, 2) and type(flow) is Fraction
+        assert type(network.min_cut_cover().weight) is Fraction
+        # any iterable, read once: the network's m and n are the values it read
+        network = ZeroFlowNetwork(((0, 0),), (v for v in [2]), (v for v in ["1", 1.0]))
+        assert (network.m, network.n) == (1, 2)
+        assert network.max_flow() == 2
+
+    def test_malformed_marginal_raises_the_reader_error(self):
+        from transopt import ZeroFlowNetwork
+
+        with pytest.raises(ValueError) as expected:
+            new_instance([[0]], ["x"], [1])
+        with pytest.raises(ValueError) as raised:
+            ZeroFlowNetwork(((0,),), ["x"], [1])
+        assert str(raised.value) == str(expected.value) == "malformed number 'x'"
+
     @pytest.mark.parametrize(
         "faulty_cover, message",
         [
@@ -207,6 +229,23 @@ class TestLineCover:
     def test_non_integral_line_rejected(self):
         with pytest.raises(IndexError, match="covered row 0.7 is not an integer"):
             line_cover([0.7], [], [1, 1], [1, 1])
+
+    def test_weight_is_an_exact_fraction_of_the_marginals(self):
+        cover = line_cover([0], [0], [0.5, 0.25], [0.125])
+        assert cover.weight == Fraction(5, 8) and type(cover.weight) is Fraction
+        assert line_cover([1], [0], ["1/3", "1/6"], ["1/2"]).weight == Fraction(2, 3)
+        assert type(line_cover([], [], [1], [1]).weight) is Fraction
+
+    def test_marginals_may_be_any_iterable(self):
+        cover = line_cover([1], [0], (v for v in [1, 2]), iter(["1/2"]))
+        assert cover.weight == Fraction(5, 2)
+
+    def test_malformed_marginal_raises_the_reader_error(self):
+        with pytest.raises(ValueError) as expected:
+            new_instance([[0]], [1], ["x"])
+        with pytest.raises(ValueError) as raised:
+            line_cover([], [], [1], ["x"])
+        assert str(raised.value) == str(expected.value) == "malformed number 'x'"
 
 
 class TestMinWeightZeroCover:
