@@ -253,12 +253,41 @@ def as_matrix(rows: Sequence[Sequence[Numberish]]) -> tuple[tuple[Fraction, ...]
 
 @_value_type
 class TransportInstance:
-    """A balanced transportation problem: cost matrix, supplies, demands."""
+    """A balanced transportation problem: cost matrix, supplies, demands.
+
+    Reads its numbers with `as_matrix` and `as_vector` and checks them: the
+    cost matrix has a row per supply and a column per demand, no marginal is
+    negative, and total supply equals total demand (BalanceError
+    otherwise).  `total` is computed when left out; a given one must equal
+    the total supply.
+    """
 
     cost: tuple[tuple[Fraction, ...], ...]
     supply: tuple[Fraction, ...]
     demand: tuple[Fraction, ...]
-    total: Fraction  # common value of total supply and total demand
+    total: Fraction | None = None  # common value of total supply and total demand
+
+    def __post_init__(self) -> None:
+        cost = as_matrix(self.cost)
+        supply, demand = as_vector(self.supply), as_vector(self.demand)
+        if len(cost) != len(supply):
+            raise ValueError(
+                f"cost matrix has {len(cost)} rows but there are {len(supply)} supplies"
+            )
+        if len(cost[0]) != len(demand):
+            raise ValueError(
+                f"cost matrix has {len(cost[0])} columns but there are {len(demand)} demands"
+            )
+        _nonnegative_marginals(supply, demand)
+        total = sum(supply, Fraction(0))
+        total_demand = sum(demand, Fraction(0))
+        if total != total_demand:
+            raise BalanceError(total, total_demand)
+        if self.total is not None and as_fraction(self.total) != total:
+            raise ValueError(f"total {self.total} differs from the total supply {total}")
+        read = {"cost": cost, "supply": supply, "demand": demand, "total": total}
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -374,24 +403,9 @@ def new_instance(
     supply: Iterable[Numberish],
     demand: Iterable[Numberish],
 ) -> TransportInstance:
-    """Validate and build a balanced transportation instance."""
-    cost_m = as_matrix(cost)
-    supply_v = as_vector(supply)
-    demand_v = as_vector(demand)
-    if len(cost_m) != len(supply_v):
-        raise ValueError(
-            f"cost matrix has {len(cost_m)} rows but there are {len(supply_v)} supplies"
-        )
-    if len(cost_m[0]) != len(demand_v):
-        raise ValueError(
-            f"cost matrix has {len(cost_m[0])} columns but there are {len(demand_v)} demands"
-        )
-    _nonnegative_marginals(supply_v, demand_v)
-    total_supply = sum(supply_v, Fraction(0))
-    total_demand = sum(demand_v, Fraction(0))
-    if total_supply != total_demand:
-        raise BalanceError(total_supply, total_demand)
-    return TransportInstance(cost_m, supply_v, demand_v, total_supply)
+    """Validate and build a balanced transportation instance: the instance
+    `TransportInstance(cost, supply, demand)`, which reads and checks."""
+    return TransportInstance(cost, supply, demand)
 
 
 def _check_plan_indices(instance: TransportInstance, plan: TransportPlan) -> None:

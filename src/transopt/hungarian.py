@@ -173,6 +173,12 @@ class SolveTrace:
 class ZeroFlowNetwork:
     """Flow network over the zero cells of a reduced matrix.
 
+    The network reads its numbers as `new_instance` does: the marginals
+    always, and the matrix whenever an entry is not already an `int` or a
+    `Fraction`, so `"0"` is a zero and a malformed or non-finite entry
+    raises the reader's ValueError.  The solver's scaled-int matrices pass
+    unread.
+
     Source feeds each row with capacity supply[i]; each column drains to the
     sink with capacity demand[j]; every zero cell (i, j) carries an arc from
     row i to column j with capacity one more than the balanced total, which no
@@ -199,7 +205,7 @@ class ZeroFlowNetwork:
 
     def __init__(
         self,
-        reduced: Matrix,
+        reduced: Sequence[Sequence[Numberish]],
         supply: Iterable[Numberish],
         demand: Iterable[Numberish],
     ) -> None:
@@ -233,8 +239,11 @@ class ZeroFlowNetwork:
         i, j = cell
         return self._residual[1 + self.m + j][1 + i]
 
-    def update_zeros(self, reduced: Matrix) -> None:
+    def update_zeros(self, reduced: Sequence[Sequence[Numberish]]) -> None:
         """Make the zero arcs those of `reduced`, keeping the current flow.
+
+        A matrix of the wrong shape raises ValueError; one holding any entry
+        that is not an `int` or a `Fraction` is read with `as_matrix` first.
 
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
@@ -244,6 +253,8 @@ class ZeroFlowNetwork:
         """
         if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
             raise ValueError("matrix shape does not match supply/demand lengths")
+        if not {type(value) for row in reduced for value in row} <= {int, Fraction}:
+            reduced = as_matrix(reduced)
         zero_cells = [
             (i, j) for i, row in enumerate(reduced) for j, value in enumerate(row) if value == 0
         ]
@@ -379,8 +390,9 @@ def min_weight_zero_cover(
 
     Returns the cover, the max-flow value (equal to the cover weight), and the
     flow routed through each zero cell, which the extraction step reuses.
+    The matrix and marginals go to `ZeroFlowNetwork` as given; it reads them.
     """
-    network = ZeroFlowNetwork(as_matrix(reduced), supply, demand)
+    network = ZeroFlowNetwork(reduced, supply, demand)
     return network.min_cut_cover(), network.max_flow(), network.zero_cell_flow()
 
 

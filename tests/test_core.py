@@ -16,6 +16,7 @@ from transopt import (
     CyclicBasisError,
     DegenerateBasisError,
     DualCertificate,
+    TransportInstance,
     TransportPlan,
     as_fraction,
     check_monge,
@@ -30,6 +31,7 @@ from transopt import (
     sum_cost,
     verify_optimal,
 )
+from transopt import core
 from transopt.core import _scaled_to_integers, _spanning_forest, as_matrix
 
 # Certificate for the worked example's optimal plan, solved by elimination
@@ -97,6 +99,61 @@ class TestNewInstance:
     @given(balanced_instances())
     def test_accepted_instances_are_balanced(self, inst):
         assert sum(inst.supply) == sum(inst.demand) == inst.total
+
+
+class TestTransportInstance:
+    """A directly built instance is read and checked as `new_instance` builds one."""
+
+    def test_unbalanced_instance_is_refused(self):
+        one, two = Fraction(1), Fraction(2)
+        message = "^unbalanced instance: total supply 1 != total demand 2$"
+        with pytest.raises(BalanceError, match=message):
+            TransportInstance(((one,),), (one,), (two,), one)
+
+    def test_string_costs_are_read_exactly(self):
+        inst = TransportInstance((("1/3", "0.1"),), ("1",), ("1/2", 0.5))
+        assert inst.cost == ((Fraction(1, 3), Fraction(1, 10)),)
+        assert all(type(v) is Fraction for v in inst.cost[0] + inst.supply + inst.demand)
+        assert inst.total == 1 and type(inst.total) is Fraction
+        assert inst == new_instance([["1/3", "0.1"]], ["1"], ["1/2", 0.5])
+        plan, _, _ = solve_weighted_hungarian(inst)
+        assert plan_cost(inst, plan) == Fraction(13, 60)
+
+    def test_a_given_total_must_equal_the_total_supply(self):
+        assert TransportInstance([[0]], [2], [2], "2") == new_instance([[0]], [2], [2])
+        with pytest.raises(ValueError, match="^total 3 differs from the total supply 2$"):
+            TransportInstance([[0]], [2], [2], 3)
+
+    @pytest.mark.parametrize(
+        "cost, supply, demand",
+        [
+            ([[1, 2], [3]], [1, 1], [1, 1]),
+            ([[1, 2]], [1, 1], [1, 1]),
+            ([[1, 2], [3, 4]], [1, 1], [2]),
+            ([[1], [1]], [2, -1], [1]),
+            ([[float("inf")]], [1], [1]),
+            ([["x"]], [1], [1]),
+            ([], [], []),
+        ],
+        ids=["ragged", "rows", "columns", "negative", "infinite", "malformed", "empty"],
+    )
+    def test_refuses_what_new_instance_refuses(self, cost, supply, demand):
+        with pytest.raises(ValueError) as expected:
+            new_instance(cost, supply, demand)
+        with pytest.raises(ValueError) as raised:
+            TransportInstance(cost, supply, demand)
+        assert str(raised.value) == str(expected.value)
+
+    def test_new_instance_reads_each_number_once(self, monkeypatch):
+        reads, read = [], core.as_fraction
+
+        def counting_read(value):
+            reads.append(value)
+            return read(value)
+
+        monkeypatch.setattr(core, "as_fraction", counting_read)
+        new_instance([[10, 7, 3, 6], [1, 6, 8, 3], [7, 4, 5, 3]], [3, 5, 7], [3, 2, 6, 4])
+        assert len(reads) == 3 * 4 + 3 + 4
 
 
 # ASCII, Arabic-Indic and fullwidth digits: `Fraction` and `int` read all three

@@ -178,6 +178,48 @@ class TestZeroFlowNetwork:
             ZeroFlowNetwork(((0,),), ["x"], [1])
         assert str(raised.value) == str(expected.value) == "malformed number 'x'"
 
+    def test_matrix_is_read_as_new_instance_reads_it(self):
+        from transopt import ZeroFlowNetwork
+
+        network = ZeroFlowNetwork((("0",),), [1], [1])
+        assert network.zero_cells == [(0, 0)]
+        assert network.max_flow() == 1 == min_weight_zero_cover([["0"]], [1], [1])[1]
+        # a network already built reads the matrix it is moved to
+        network = ZeroFlowNetwork(((1,),), [1], [1])
+        assert network.max_flow() == 0
+        network.update_zeros([["0/5"]])
+        assert network.zero_cells == [(0, 0)] and network.max_flow() == 1
+
+    def test_string_entries_are_read_exactly(self):
+        from transopt import ZeroFlowNetwork
+
+        # 1e-400 is no zero, though the float it rounds to is
+        network = ZeroFlowNetwork([["1/2", "0"], ["0", "1e-400"]], [1, 1], [1, 1])
+        assert network.zero_cells == [(0, 1), (1, 0)]
+        assert network.max_flow() == 2
+        assert network.zero_cell_flow() == {(0, 1): 1, (1, 0): 1}
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("x", "malformed number 'x'"), (float("nan"), "entries must be finite, got nan")],
+        ids=["malformed", "nan"],
+    )
+    def test_unreadable_entry_raises_the_reader_error(self, entry, message):
+        from transopt import ZeroFlowNetwork
+
+        with pytest.raises(ValueError) as expected:
+            new_instance([[entry]], [1], [1])
+        assert str(expected.value) == message
+        with pytest.raises(ValueError) as raised:
+            ZeroFlowNetwork([[entry]], [1], [1])
+        assert str(raised.value) == message
+        network = ZeroFlowNetwork([[0]], [1], [1])
+        with pytest.raises(ValueError) as raised:
+            network.update_zeros([[entry]])
+        assert str(raised.value) == message
+        # the refused matrix left the network as it was
+        assert network.zero_cells == [(0, 0)] and network.max_flow() == 1
+
     @pytest.mark.parametrize(
         "faulty_cover, message",
         [
@@ -632,6 +674,23 @@ class TestSolveWeightedHungarian:
             "extract_plan_from_zeros": 0,
             "verify_optimal": 1,
         }
+
+    def test_an_integer_solve_reads_none_of_its_loop_matrices(self, monkeypatch):
+        # reading a scaled-int matrix on every delta step would cost about
+        # 0.3 ms per 20 x 20 step; the network's type test lets ints through
+        reads, read = [], hungarian.as_matrix
+
+        def counting_read(rows):
+            reads.append(rows)
+            return read(rows)
+
+        monkeypatch.setattr(hungarian, "as_matrix", counting_read)
+        rng = random.Random(3)
+        cost = [[rng.randint(0, 1000) for _ in range(20)] for _ in range(20)]
+        inst = new_instance(cost, composition(rng, 200, 20), composition(rng, 200, 20))
+        _, _, trace = solve_weighted_hungarian(inst)
+        assert sum(it.delta is not None for it in trace.iterations) == 25
+        assert reads == []
 
     def test_cover_weights_monotone_and_dual_objective_strictly_increasing(self):
         rng = random.Random(17)
