@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, product
 from operator import index, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Sized
 
 Cell = tuple[int, int]
 Numberish = int | float | str | Fraction
@@ -237,17 +237,28 @@ def as_vector(values: Iterable[Numberish]) -> tuple[Fraction, ...]:
     return tuple(map(as_fraction, values))
 
 
-def as_matrix(rows: Sequence[Sequence[Numberish]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Normalize a rectangular matrix to a tuple-of-tuples of Fractions."""
+def _check_shape(rows: Sequence[Sized], m: int | None = None, n: int | None = None) -> None:
+    """The shape rule for every matrix, read from lengths only: a row and a
+    column at least, rows of equal length and, given the marginals' lengths
+    m and n, a row per supply and a column per demand (ValueError if not)."""
     if len(rows) == 0:
         raise ValueError("matrix must have at least one row")
-    out = tuple(as_vector(row) for row in rows)
-    width = len(out[0])
+    width = len(rows[0])
     if width == 0:
         raise ValueError("matrix must have at least one column")
-    for k, row in enumerate(out):
+    for k, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {k} has {len(row)} entries, expected {width}")
+    if m is not None and len(rows) != m:
+        raise ValueError(f"cost matrix has {len(rows)} rows but there are {m} supplies")
+    if n is not None and width != n:
+        raise ValueError(f"cost matrix has {width} columns but there are {n} demands")
+
+
+def as_matrix(rows: Sequence[Sequence[Numberish]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Read a matrix into a tuple-of-tuples of Fractions and check its shape."""
+    out = tuple(as_vector(row) for row in rows)
+    _check_shape(out)
     return out
 
 
@@ -270,14 +281,7 @@ class TransportInstance:
     def __post_init__(self) -> None:
         cost = as_matrix(self.cost)
         supply, demand = as_vector(self.supply), as_vector(self.demand)
-        if len(cost) != len(supply):
-            raise ValueError(
-                f"cost matrix has {len(cost)} rows but there are {len(supply)} supplies"
-            )
-        if len(cost[0]) != len(demand):
-            raise ValueError(
-                f"cost matrix has {len(cost[0])} columns but there are {len(demand)} demands"
-            )
+        _check_shape(cost, len(supply), len(demand))
         _nonnegative_marginals(supply, demand)
         total = sum(supply, Fraction(0))
         total_demand = sum(demand, Fraction(0))

@@ -39,6 +39,7 @@ from .core import (
     TransportInstance,
     TransportPlan,
     _as_index,
+    _check_shape,
     _dual_objective,
     _nonnegative_marginals,
     _scaled_to_integers,
@@ -173,11 +174,13 @@ class SolveTrace:
 class ZeroFlowNetwork:
     """Flow network over the zero cells of a reduced matrix.
 
-    The network reads its numbers as `new_instance` does: the marginals
-    always, and the matrix whenever an entry is not already an `int` or a
-    `Fraction`, so `"0"` is a zero and a malformed or non-finite entry
-    raises the reader's ValueError.  The solver's scaled-int matrices pass
-    unread.
+    The network checks and reads its numbers as `new_instance` does: the
+    matrix's shape always (an empty or ragged matrix, or one without a row
+    per supply and a column per demand, raises the same ValueError), the
+    marginals always, and the matrix whenever an entry is not already an
+    `int` or a `Fraction`, so `"0"` is a zero and a malformed or non-finite
+    entry raises the reader's ValueError.  The solver's scaled-int matrices
+    pass unread.
 
     Source feeds each row with capacity supply[i]; each column drains to the
     sink with capacity demand[j]; every zero cell (i, j) carries an arc from
@@ -242,8 +245,9 @@ class ZeroFlowNetwork:
     def update_zeros(self, reduced: Sequence[Sequence[Numberish]]) -> None:
         """Make the zero arcs those of `reduced`, keeping the current flow.
 
-        A matrix of the wrong shape raises ValueError; one holding any entry
-        that is not an `int` or a `Fraction` is read with `as_matrix` first.
+        The matrix's shape is checked first, as `new_instance` checks it,
+        from lengths only; a matrix holding any entry that is not an `int` or
+        a `Fraction` is then read with `as_matrix`.
 
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
@@ -251,8 +255,7 @@ class ZeroFlowNetwork:
         survives; if a dropped arc does carry flow (an arbitrary new matrix),
         the flow restarts from zero.
         """
-        if len(reduced) != self.m or any(len(row) != self.n for row in reduced):
-            raise ValueError("matrix shape does not match supply/demand lengths")
+        _check_shape(reduced, self.m, self.n)
         if not {type(value) for row in reduced for value in row} <= {int, Fraction}:
             reduced = as_matrix(reduced)
         zero_cells = [
@@ -390,7 +393,8 @@ def min_weight_zero_cover(
 
     Returns the cover, the max-flow value (equal to the cover weight), and the
     flow routed through each zero cell, which the extraction step reuses.
-    The matrix and marginals go to `ZeroFlowNetwork` as given; it reads them.
+    The matrix and marginals go to `ZeroFlowNetwork` as given; it checks and
+    reads them as `new_instance` does, with the same ValueErrors.
     """
     network = ZeroFlowNetwork(reduced, supply, demand)
     return network.min_cut_cover(), network.max_flow(), network.zero_cell_flow()

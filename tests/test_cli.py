@@ -824,6 +824,15 @@ class TestGenerateCommand:
         assert code == 0
         assert out == "2 2\n11 21\n12 22\n2 3\n1 4\n"
 
+    def test_sum_kind_with_a_supply_short_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "sum", "--x", "1", "2", "--y", "1", "--supply", "1",
+            "--demand", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cost matrix has 2 rows but there are 1 supplies\n"
+
     def test_problemp_kind_solves_to_zero(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "generate", "problemp", "--f", "square", "--x", "0", "1",

@@ -18,12 +18,14 @@ from transopt import (
     DualCertificate,
     TransportInstance,
     TransportPlan,
+    ZeroFlowNetwork,
     as_fraction,
     check_monge,
     compute_duals_from_plan,
     dual_objective,
     enumerate_optimum,
     is_feasible,
+    min_weight_zero_cover,
     new_instance,
     north_west_corner,
     plan_cost,
@@ -134,15 +136,20 @@ class TestTransportInstance:
             ([[float("inf")]], [1], [1]),
             ([["x"]], [1], [1]),
             ([], [], []),
+            ([[]], [1], []),
         ],
-        ids=["ragged", "rows", "columns", "negative", "infinite", "malformed", "empty"],
+        ids=["ragged", "rows", "columns", "negative", "infinite", "malformed", "empty",
+             "no_columns"],
     )
     def test_refuses_what_new_instance_refuses(self, cost, supply, demand):
+        """The instance, the zero network and the cover step refuse each
+        matrix and marginals `new_instance` refuses, with its message."""
         with pytest.raises(ValueError) as expected:
             new_instance(cost, supply, demand)
-        with pytest.raises(ValueError) as raised:
-            TransportInstance(cost, supply, demand)
-        assert str(raised.value) == str(expected.value)
+        for build in (TransportInstance, ZeroFlowNetwork, min_weight_zero_cover):
+            with pytest.raises(ValueError) as raised:
+                build(cost, supply, demand)
+            assert str(raised.value) == str(expected.value), build.__name__
 
     def test_new_instance_reads_each_number_once(self, monkeypatch):
         reads, read = [], core.as_fraction

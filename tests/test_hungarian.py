@@ -144,8 +144,18 @@ class TestZeroFlowNetwork:
         from transopt import ZeroFlowNetwork
         from transopt.core import as_matrix, as_vector
 
-        with pytest.raises(ValueError, match="matrix shape does not match"):
+        with pytest.raises(ValueError, match="^cost matrix has 1 rows but there are 2 supplies$"):
             ZeroFlowNetwork(as_matrix([[1, 1, 0]]), as_vector([1, 1]), as_vector([1, 1]))
+
+    def test_empty_matrix_is_refused(self):
+        from transopt import ZeroFlowNetwork
+
+        with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+            ZeroFlowNetwork((), [], [])
+        with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+            min_weight_zero_cover([], [], [])
+        with pytest.raises(ValueError, match="^matrix must have at least one column$"):
+            ZeroFlowNetwork(((),), [1], [])
 
     def test_negative_marginal_rejected(self):
         from transopt import ZeroFlowNetwork
@@ -322,9 +332,14 @@ class TestMinWeightZeroCover:
         assert (cover.rows, cover.cols) == ({1}, {0})
         assert zero_flow == {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 3)}
 
-    @pytest.mark.parametrize("matrix", [[[0, 0, 0]], [[0], [0]]])
-    def test_shape_mismatch_rejected(self, matrix):
-        with pytest.raises(ValueError, match="matrix shape does not match"):
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [([[0, 0, 0]], "^cost matrix has 3 columns but there are 2 demands$"),
+         ([[0], [0]], "^cost matrix has 2 rows but there are 1 supplies$")],
+        ids=["matrix0", "matrix1"],
+    )
+    def test_shape_mismatch_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
             min_weight_zero_cover(matrix, [2], [1, 1])
 
     @pytest.mark.parametrize(
