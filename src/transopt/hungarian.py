@@ -44,6 +44,7 @@ from .core import (
     _nonnegative_marginals,
     _scaled_to_integers,
     _value_type,
+    as_fraction,
     as_matrix,
     as_vector,
     is_feasible,
@@ -118,41 +119,29 @@ def _covered_lines(
 
 @_value_type
 class HungarianIteration:
-    """One pass of the cover step: the matrix it saw, the cover found, the
-    max-flow value on the zero network, and the delta applied (None on the
-    terminal pass).  Matrix entries and delta are ints in scaled units.
+    """One pass of the cover step, held as the duals it ran on: the cost,
+    the row and column duals alpha and beta, the cover found, the max-flow
+    value on the zero network, and the delta applied (None on the terminal
+    pass).  The solver's iterations hold its cost scaled to ints, one tuple
+    shared by every iteration of a solve, so each keeps O(m + n) values of
+    its own; their duals and deltas are ints in scaled units.
 
-    An iteration the solver records stores the scaled cost, which all its
-    iterations share, and its own duals instead of a matrix: O(m + n) values.
-    Its `matrix` is derived from them on every read.
+    `matrix` is the reduced matrix the pass saw, cost[i][j] - alpha[i] -
+    beta[j], derived on every read.  An iteration of a bare reduced matrix
+    is `HungarianIteration(matrix, (0,) * m, (0,) * n, cover, flow_value,
+    delta)`.
     """
 
-    matrix: Matrix
+    cost: Matrix
+    alpha: tuple[Number, ...]
+    beta: tuple[Number, ...]
     cover: LineCover
     flow_value: Fraction
     delta: Number | None
 
-    def __getattr__(self, name: str):
-        # only reached for attributes the instance lacks, such as the matrix
-        # of an iteration made by `_recorded`
-        if name == "matrix" and "_duals" in self.__dict__:
-            return _reduced(*self._duals)
-        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-
-
-def _recorded(
-    duals: tuple[Sequence[Sequence[int]], tuple[int, ...], tuple[int, ...]],
-    cover: LineCover,
-    flow_value: Fraction,
-    delta: int | None,
-) -> HungarianIteration:
-    """The iteration whose matrix is `_reduced(*duals)`, derived on read."""
-    iteration = object.__new__(HungarianIteration)
-    for name, value in (
-        ("_duals", duals), ("cover", cover), ("flow_value", flow_value), ("delta", delta)
-    ):
-        object.__setattr__(iteration, name, value)
-    return iteration
+    @property
+    def matrix(self) -> Matrix:
+        return _reduced(self.cost, self.alpha, self.beta)
 
 
 @_value_type
@@ -177,10 +166,10 @@ class ZeroFlowNetwork:
     The network checks and reads its numbers as `new_instance` does: the
     matrix's shape always (an empty or ragged matrix, or one without a row
     per supply and a column per demand, raises the same ValueError), the
-    marginals always, and the matrix whenever an entry is not already an
-    `int` or a `Fraction`, so `"0"` is a zero and a malformed or non-finite
-    entry raises the reader's ValueError.  The solver's scaled-int matrices
-    pass unread.
+    marginals always, and each matrix entry that is not already an `int` or
+    a `Fraction`, so `"0"` is a zero and a malformed or non-finite entry
+    raises the reader's ValueError.  The solver's scaled-int matrices pass
+    unread.
 
     Source feeds each row with capacity supply[i]; each column drains to the
     sink with capacity demand[j]; every zero cell (i, j) carries an arc from
@@ -246,8 +235,9 @@ class ZeroFlowNetwork:
         """Make the zero arcs those of `reduced`, keeping the current flow.
 
         The matrix's shape is checked first, as `new_instance` checks it,
-        from lengths only; a matrix holding any entry that is not an `int` or
-        a `Fraction` is then read with `as_matrix`.
+        from lengths only; then one row-major pass finds the zeros, comparing
+        an `int` or a `Fraction` entry as given and reading any other with
+        `as_fraction`, so the first unreadable entry raises.
 
         Arcs of cells that are no longer zero are dropped and every new zero
         gets an arc.  A delta step only turns doubly-covered zeros nonzero,
@@ -256,10 +246,11 @@ class ZeroFlowNetwork:
         the flow restarts from zero.
         """
         _check_shape(reduced, self.m, self.n)
-        if not {type(value) for row in reduced for value in row} <= {int, Fraction}:
-            reduced = as_matrix(reduced)
         zero_cells = [
-            (i, j) for i, row in enumerate(reduced) for j, value in enumerate(row) if value == 0
+            (i, j)
+            for i, row in enumerate(reduced)
+            for j, value in enumerate(row)
+            if (value if type(value) in (int, Fraction) else as_fraction(value)) == 0
         ]
         dropped = set(self.zero_cells).difference(zero_cells)
         if any(self._arc_flow(cell) > 0 for cell in dropped):
@@ -524,7 +515,9 @@ def solve_weighted_hungarian(
     supply, demand = instance.supply, instance.demand
     unit, (supplies, demands) = _scaled_to_integers((supply, demand), "supplies and demands")
 
-    scale, scaled_cost = _scaled_to_integers(instance.cost)
+    scale, scaled_rows = _scaled_to_integers(instance.cost)
+    # one tuple of tuples, shared by every iteration and hashable with it
+    scaled_cost = tuple(map(tuple, scaled_rows))
     alpha, beta = map(list, _start_duals(scaled_cost))
 
     # Each delta step raises the flow by a multiple of 1 / unit, or keeps it
@@ -542,9 +535,9 @@ def solve_weighted_hungarian(
                 "(total + 1)(m + n + 1) in scaled units"
             )
         cover, flow_value = network.min_cut_cover(), network.max_flow()
-        duals = (scaled_cost, tuple(alpha), tuple(beta))
+        duals = (tuple(alpha), tuple(beta))
         if flow_value == instance.total:
-            iterations.append(_recorded(duals, cover, flow_value, None))
+            iterations.append(HungarianIteration(scaled_cost, *duals, cover, flow_value, None))
             break
         side = network.source_side()
         step = len(iterations) + 1
@@ -552,7 +545,7 @@ def solve_weighted_hungarian(
             delta = _delta_step(scaled_cost, alpha, beta, cover)
         except ValueError as exc:
             raise RuntimeError(f"internal error: iteration {step}: {exc}") from exc
-        iterations.append(_recorded(duals, cover, flow_value, delta))
+        iterations.append(HungarianIteration(scaled_cost, *duals, cover, flow_value, delta))
         network.update_zeros(_reduced(scaled_cost, alpha, beta))
         before, objective = objective, _dual_objective(alpha, beta, supplies, demands)
         _check_step(

@@ -70,16 +70,20 @@ def cold_start_solve(instance: TransportInstance) -> SolveTrace:
     zero) at every cover step."""
     supply, demand = instance.supply, instance.demand
     scale = math.lcm(*(c.denominator for row in instance.cost for c in row))
-    reduced, alpha, beta = reduce_matrix([[c * scale for c in row] for row in instance.cost])
+    cost = tuple(tuple(c * scale for c in row) for row in instance.cost)
+    reduced, alpha, beta = reduce_matrix(cost)
     alpha, beta = list(alpha), list(beta)
     iterations = []
     while True:
         cover, flow_value, zero_flow = min_weight_zero_cover(reduced, supply, demand)
-        if flow_value == instance.total:
-            iterations.append(HungarianIteration(reduced, cover, flow_value, None))
+        final = flow_value == instance.total
+        adjusted, delta = (reduced, None) if final else delta_adjust(reduced, cover)
+        iteration = HungarianIteration(cost, tuple(alpha), tuple(beta), cover, flow_value, delta)
+        if iteration.matrix != reduced:  # a check that `python -O` keeps
+            raise AssertionError("the recorded duals do not derive the covered matrix")
+        iterations.append(iteration)
+        if final:
             break
-        adjusted, delta = delta_adjust(reduced, cover)
-        iterations.append(HungarianIteration(reduced, cover, flow_value, delta))
         alpha = [a if i in cover.rows else a + delta for i, a in enumerate(alpha)]
         beta = [b - delta if j in cover.cols else b for j, b in enumerate(beta)]
         reduced = adjusted

@@ -210,25 +210,32 @@ class TestZeroFlowNetwork:
         assert network.zero_cell_flow() == {(0, 1): 1, (1, 0): 1}
 
     @pytest.mark.parametrize(
-        "entry, message",
-        [("x", "malformed number 'x'"), (float("nan"), "entries must be finite, got nan")],
-        ids=["malformed", "nan"],
+        "matrix, message",
+        [
+            ([["x"]], "malformed number 'x'"),
+            ([[float("nan")]], "entries must be finite, got nan"),
+            # the first unreadable entry in row-major order is the one named
+            ([["x", 0], [0, "y"]], "malformed number 'x'"),
+        ],
+        ids=["malformed", "nan", "first"],
     )
-    def test_unreadable_entry_raises_the_reader_error(self, entry, message):
+    def test_unreadable_entry_raises_the_reader_error(self, matrix, message):
         from transopt import ZeroFlowNetwork
 
+        ones = [1] * len(matrix)
         with pytest.raises(ValueError) as expected:
-            new_instance([[entry]], [1], [1])
+            new_instance(matrix, ones, ones)
         assert str(expected.value) == message
         with pytest.raises(ValueError) as raised:
-            ZeroFlowNetwork([[entry]], [1], [1])
+            ZeroFlowNetwork(matrix, ones, ones)
         assert str(raised.value) == message
-        network = ZeroFlowNetwork([[0]], [1], [1])
+        network = ZeroFlowNetwork([[0] * len(ones)] * len(ones), ones, ones)
+        zeros = list(network.zero_cells)
         with pytest.raises(ValueError) as raised:
-            network.update_zeros([[entry]])
+            network.update_zeros(matrix)
         assert str(raised.value) == message
         # the refused matrix left the network as it was
-        assert network.zero_cells == [(0, 0)] and network.max_flow() == 1
+        assert network.zero_cells == zeros and network.max_flow() == len(ones)
 
     @pytest.mark.parametrize(
         "faulty_cover, message",
@@ -693,13 +700,17 @@ class TestSolveWeightedHungarian:
     def test_an_integer_solve_reads_none_of_its_loop_matrices(self, monkeypatch):
         # reading a scaled-int matrix on every delta step would cost about
         # 0.3 ms per 20 x 20 step; the network's type test lets ints through
-        reads, read = [], hungarian.as_matrix
+        reads = []
 
-        def counting_read(rows):
-            reads.append(rows)
-            return read(rows)
+        def counting(read):
+            def counting_read(value):
+                reads.append(value)
+                return read(value)
 
-        monkeypatch.setattr(hungarian, "as_matrix", counting_read)
+            return counting_read
+
+        for name in ("as_matrix", "as_fraction"):
+            monkeypatch.setattr(hungarian, name, counting(getattr(hungarian, name)))
         rng = random.Random(3)
         cost = [[rng.randint(0, 1000) for _ in range(20)] for _ in range(20)]
         inst = new_instance(cost, composition(rng, 200, 20), composition(rng, 200, 20))
@@ -756,16 +767,24 @@ class TestSolveWeightedHungarian:
 
 class TestDerivedTrace:
     """The solver's iterations keep their duals and derive `matrix` on read;
-    `test_warm_start.py` compares every derived matrix with the cold start's."""
+    `test_warm_start.py` compares every iteration with the cold start's."""
 
     def test_a_derived_iteration_is_its_public_construction(self, worked_instance):
         _, _, trace = solve_weighted_hungarian(worked_instance)
         for it in trace.iterations:
             assert "matrix" not in vars(it)
-            public = HungarianIteration(it.matrix, it.cover, it.flow_value, it.delta)
+            assert it.matrix == tuple(
+                tuple(c - a - b for c, b in zip(row, it.beta))
+                for row, a in zip(it.cost, it.alpha)
+            )
+            public = HungarianIteration(
+                it.cost, it.alpha, it.beta, it.cover, it.flow_value, it.delta
+            )
             assert it == public and public == it
             assert hash(it) == hash(public)
             assert repr(it) == repr(public)
+        # every iteration of a solve shares its scaled cost
+        assert all(it.cost is trace.iterations[0].cost for it in trace.iterations)
         with pytest.raises(AttributeError, match="no attribute 'unknown'"):
             trace.iterations[0].unknown
 

@@ -28,7 +28,7 @@ from transopt.oracle import enumerate_optimum
 
 F = Fraction
 COVER = LineCover(frozenset({0}), frozenset({1}), F(3))
-ITERATION = HungarianIteration(((F(0), F(1)),), COVER, F(2), F(1))
+ITERATION = HungarianIteration(((F(0), F(1)),), (F(0),), (F(0), F(0)), COVER, F(2), F(1))
 PLAN = TransportPlan({(0, 0): 1})
 CERT = DualCertificate((F(0),), (F(1),))
 
@@ -50,7 +50,9 @@ CASES = {
     OptimalityReport: (("optimal", False), ("violation", ("dual", 0, 1, F(2), F(1)))),
     LineCover: (("rows", frozenset({0})), ("cols", frozenset({1})), ("weight", F(3))),
     HungarianIteration: (
-        ("matrix", ((F(0), F(1)),)),
+        ("cost", ((F(0), F(1)),)),
+        ("alpha", (F(0),)),
+        ("beta", (F(0), F(0))),
         ("cover", COVER),
         ("flow_value", F(2)),
         ("delta", F(1)),
@@ -218,9 +220,11 @@ def test_a_solver_trace_and_an_oracle_result_survive_a_round_trip(round_trip):
     _, _, trace = solve_weighted_hungarian(worked_example())
     twin = round_trip(trace)
     assert_same_value(trace, twin)
-    # a recorded iteration still derives its matrix on read instead of storing it
+    # a copied iteration derives its matrix on read from its fields, and the
+    # copied iterations still share one cost
     for iteration, copied in zip(trace.iterations, twin.iterations):
         assert "matrix" not in vars(copied)
         assert copied.matrix == iteration.matrix
+        assert copied.cost is twin.iterations[0].cost
     result = enumerate_optimum(new_instance([[1, 2], [3, 1]], [1, 2], [2, 1]))
     assert_same_value(result, round_trip(result))

@@ -175,6 +175,7 @@ def test_every_cover_step_of_the_benchmark_pools(workload, count, monkeypatch):
         digest.update(
             repr((sorted(plan.entries.items()), certificate.alpha, certificate.beta)).encode()
         )
+        previous = None
         for it in trace.iterations:
             zeros = [(i, j) for i, row in enumerate(it.matrix) for j, v in enumerate(row) if v == 0]
             graph = zero_graph(m, n, zeros, supply, demand)
@@ -183,4 +184,13 @@ def test_every_cover_step_of_the_benchmark_pools(workload, count, monkeypatch):
             )
             assert it.flow_value == value == it.cover.weight
             assert all(i in it.cover.rows or j in it.cover.cols for i, j in zeros)
+            if previous is not None:
+                # the delta step's zero diff: new zeros only on cells the
+                # earlier cover leaves uncovered, dropped ones only on cells
+                # it covers twice
+                cover, before = previous
+                new, dropped = set(zeros) - before, before - set(zeros)
+                assert all(i not in cover.rows and j not in cover.cols for i, j in new)
+                assert all(i in cover.rows and j in cover.cols for i, j in dropped)
+            previous = it.cover, set(zeros)
     assert digest.hexdigest() == POOL_DIGESTS[workload]
