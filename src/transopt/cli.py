@@ -70,6 +70,15 @@ MAX_CELLS = 1_000_000
 
 _TOKEN = re.compile(r"\S+")
 
+# The options each kind of `generate` takes; it refuses any other.
+GENERATE_OPTIONS = {
+    "survey": ("supply", "demand"),
+    "factored": ("x", "y", "supply", "demand"),
+    "sum": ("x", "y", "supply", "demand"),
+    "convexdiff": ("x", "y", "supply", "demand", "f"),
+    "problemp": ("x", "y", "p_row", "p_col", "f"),
+}
+
 COST_SHAPES: dict[str, Callable[[Fraction], Fraction]] = {
     "square": lambda t: t * t,
     "abs": lambda t: abs(t),
@@ -205,7 +214,7 @@ def _certificate_json(
     hints: list[tuple[int, int]] = []
     if cert is None:
         cert, hints = _basis_duals(instance, plan)
-    report = OptimalityReport(True) if verified else verify_optimal(instance, plan, cert)
+    report = OptimalityReport() if verified else verify_optimal(instance, plan, cert)
     doc = {
         "available": True,
         "alpha": [str(v) for v in cert.alpha],
@@ -409,6 +418,10 @@ def _survey_size(token: str) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
+    for option in ("x", "y", "supply", "demand", "p_row", "p_col", "f"):
+        taken = getattr(args, option) is None or option in GENERATE_OPTIONS[kind]
+        _require(taken, f"{kind} does not take --{option.replace('_', '-')}")
+    shape = COST_SHAPES[args.f or "square"]
     x = _rationals(args.x or [], "--x")
     y = _rationals(args.y or [], "--y")
     supply = _rationals(args.supply or [], "--supply")
@@ -435,7 +448,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             p_col = _rationals(args.p_col or [], "--p-col")
             _require(bool(p_row) and bool(p_col), "problemp requires --p-row and --p-col")
             spec = ProblemPSpec(
-                tuple(x), tuple(y), tuple(p_row), tuple(p_col), COST_SHAPES[args.f]
+                tuple(x), tuple(y), tuple(p_row), tuple(p_col), shape
             )
             instance = problem_p_instance(spec)
         else:
@@ -450,7 +463,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             elif kind == "sum":
                 cost = sum_cost(x, y)
             else:
-                cost = convex_diff_cost(x, y, COST_SHAPES[args.f])
+                cost = convex_diff_cost(x, y, shape)
             instance = new_instance(cost, supply, demand)
     except ValueError as exc:
         raise CommandError(EXIT_INPUT_ERROR, str(exc)) from exc
@@ -511,13 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--demand", nargs="+", metavar="V")
     generate.add_argument("--p-row", dest="p_row", nargs="+", metavar="P")
     generate.add_argument("--p-col", dest="p_col", nargs="+", metavar="P")
-    generate.add_argument("--f", choices=sorted(COST_SHAPES), default="square")
+    # no default, so that a kind that takes no shape can tell it was given;
+    # convexdiff and problemp read a missing one as square
+    generate.add_argument("--f", choices=sorted(COST_SHAPES))
     generate.set_defaults(handler=_cmd_generate)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line `argv` (default `sys.argv[1:]`) and return its
+    exit code, as the module docstring lists them; an error is printed to
+    stderr as `error: ...`, and argparse exits with 2 on a usage error."""
     args = build_parser().parse_args(argv)
     # a result (a sum, a product, a dual) is held to the bound of its inputs,
     # even where the interpreter's limit is off; each command builds its whole

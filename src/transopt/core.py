@@ -127,6 +127,20 @@ def _value_type(cls: type) -> type:
     return cls
 
 
+class _Report:
+    """Base of the `_value_type` reports, whose first field holds what a
+    check found wrong (None or empty when nothing): a report is truthy
+    exactly when that field is empty.  The verdict is derived, not given,
+    so a bool in that field raises TypeError."""
+
+    def __post_init__(self) -> None:
+        if isinstance(getattr(self, self.__match_args__[0]), bool):
+            raise TypeError(f"{type(self).__name__}() takes no verdict; pass what it found")
+
+    def __bool__(self) -> bool:
+        return not getattr(self, self.__match_args__[0])
+
+
 # The exponent that ends a number as `Fraction` reads it: its sign and digits.
 # Compiled on first use, since plain digit tokens never need it.
 _EXPONENT = r"[eE]([-+]?)(\d[\d_]*)\s*\Z"
@@ -269,14 +283,13 @@ class TransportInstance:
     Reads its numbers with `as_matrix` and `as_vector` and checks them: the
     cost matrix has a row per supply and a column per demand, no marginal is
     negative, and total supply equals total demand (BalanceError
-    otherwise).  `total` is computed when left out; a given one must equal
-    the total supply.
+    otherwise).  `total`, that common value, is derived on construction; it
+    is not a field, so it takes no part in equality, hash or repr.
     """
 
     cost: tuple[tuple[Fraction, ...], ...]
     supply: tuple[Fraction, ...]
     demand: tuple[Fraction, ...]
-    total: Fraction | None = None  # common value of total supply and total demand
 
     def __post_init__(self) -> None:
         cost = as_matrix(self.cost)
@@ -287,8 +300,6 @@ class TransportInstance:
         total_demand = sum(demand, Fraction(0))
         if total != total_demand:
             raise BalanceError(total, total_demand)
-        if self.total is not None and as_fraction(self.total) != total:
-            raise ValueError(f"total {self.total} differs from the total supply {total}")
         read = {"cost": cost, "supply": supply, "demand": demand, "total": total}
         for name, value in read.items():
             object.__setattr__(self, name, value)
@@ -330,6 +341,7 @@ class TransportPlan:
         object.__setattr__(self, "entries", MappingProxyType(positive))
 
     def quantity(self, i: int, j: int) -> Fraction:
+        """The quantity shipped on cell (i, j): 0 off the support."""
         return self.entries.get((i, j), Fraction(0))
 
     def cells(self) -> list[Cell]:
@@ -368,18 +380,16 @@ class DualCertificate:
 
 
 @_value_type
-class FeasibilityReport:
-    """Outcome of a feasibility check; truthy iff the plan is feasible.
+class FeasibilityReport(_Report):
+    """Outcome of a feasibility check: its violations, none for a feasible
+    plan.  The report is truthy, and `feasible` is True, iff there are none.
 
     Violations are ("row"|"column", index, residual) triples, rows first,
     where residual = required total - shipped total.
     """
 
-    feasible: bool
     violations: tuple[tuple[str, int, Fraction], ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.feasible
+    feasible = property(_Report.__bool__)
 
     @property
     def first_violation(self) -> tuple[str, int, Fraction] | None:
@@ -387,19 +397,18 @@ class FeasibilityReport:
 
 
 @_value_type
-class OptimalityReport:
-    """Outcome of a certificate check; truthy iff the certificate verifies.
+class OptimalityReport(_Report):
+    """Outcome of a certificate check: the first violation, None when the
+    certificate verifies.  The report is truthy, and `optimal` is True, iff
+    there is none.
 
     A violation is ("dual"|"slack", i, j, alpha_i + beta_j, cost_ij): "dual"
     means the potentials exceed the cost at (i, j); "slack" means a cell with
     positive flow is not tight.
     """
 
-    optimal: bool
     violation: tuple[str, int, int, Fraction, Fraction] | None = None
-
-    def __bool__(self) -> bool:
-        return self.optimal
+    optimal = property(_Report.__bool__)
 
 
 def new_instance(
@@ -506,7 +515,7 @@ def is_feasible(instance: TransportInstance, plan: TransportPlan) -> Feasibility
     for j in range(instance.n):
         if col_sums[j] != instance.demand[j]:
             violations.append(("column", j, instance.demand[j] - col_sums[j]))
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(tuple(violations))
 
 
 def verify_optimal(
@@ -536,10 +545,10 @@ def verify_optimal(
             lhs = cert.alpha[i] + cert.beta[j]
             cij = instance.cost[i][j]
             if lhs > cij:
-                return OptimalityReport(False, ("dual", i, j, lhs, cij))
+                return OptimalityReport(("dual", i, j, lhs, cij))
             if lhs != cij and (i, j) in support:
-                return OptimalityReport(False, ("slack", i, j, lhs, cij))
-    return OptimalityReport(True, None)
+                return OptimalityReport(("slack", i, j, lhs, cij))
+    return OptimalityReport()
 
 
 def dual_objective(instance: TransportInstance, cert: DualCertificate) -> Fraction:

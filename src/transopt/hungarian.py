@@ -94,6 +94,8 @@ def line_cover(
     supply: Iterable[Numberish],
     demand: Iterable[Numberish],
 ) -> LineCover:
+    """The cover of the given rows and columns, weighed by the marginals:
+    IndexError unless each index is an integer in range."""
     supply, demand = as_vector(supply), as_vector(demand)
     row_set, col_set = _covered_lines(rows, cols, len(supply), len(demand))
     weight = sum((supply[i] for i in row_set), Fraction(0)) + sum(
@@ -120,44 +122,46 @@ def _covered_lines(
 @_value_type
 class HungarianIteration:
     """One pass of the cover step, held as the duals it ran on: the cost,
-    the row and column duals alpha and beta, the cover found, the max-flow
-    value on the zero network, and the delta applied (None on the terminal
-    pass).  The solver's iterations hold its cost scaled to ints, one tuple
-    shared by every iteration of a solve, so each keeps O(m + n) values of
-    its own; their duals and deltas are ints in scaled units.
+    the row and column duals alpha and beta, the cover found, and the delta
+    applied (None on the terminal pass).  The solver's iterations hold its
+    cost scaled to ints, one tuple shared by every iteration of a solve, so
+    each keeps O(m + n) values of its own; their duals and deltas are ints
+    in scaled units.
 
-    `matrix` is the reduced matrix the pass saw, cost[i][j] - alpha[i] -
-    beta[j], derived on every read.  An iteration of a bare reduced matrix
-    is `HungarianIteration(matrix, (0,) * m, (0,) * n, cover, flow_value,
-    delta)`.
+    Two values are derived on every read: `matrix`, the reduced matrix the
+    pass saw, cost[i][j] - alpha[i] - beta[j]; and `flow_value`, the max
+    flow on its zero network, which is the minimum cover's weight (weighted
+    König–Egerváry), so `cover.weight`.  An iteration of a bare reduced
+    matrix is `HungarianIteration(matrix, (0,) * m, (0,) * n, cover, delta)`.
     """
 
     cost: Matrix
     alpha: tuple[Number, ...]
     beta: tuple[Number, ...]
     cover: LineCover
-    flow_value: Fraction
     delta: Number | None
 
     @property
     def matrix(self) -> Matrix:
         return _reduced(self.cost, self.alpha, self.beta)
 
+    @property
+    def flow_value(self) -> Fraction:
+        return self.cover.weight
+
 
 @_value_type
 class SolveTrace:
-    """Full record of a solve: every iteration plus the extracted solution.
+    """Record of a solve's loop: every iteration, in order.
 
     `scale` is the factor that made the cost matrix integer before the loop;
     iteration matrices and deltas are ints in scaled units (scale is 1 for
-    integer costs), while `plan` and `certificate` are Fractions in original
-    units.
+    integer costs).  The plan and the certificate, Fractions in original
+    units, are the solver's other two return values, not part of the trace.
     """
 
     scale: int
     iterations: tuple[HungarianIteration, ...]
-    plan: TransportPlan
-    certificate: DualCertificate
 
 
 class ZeroFlowNetwork:
@@ -493,7 +497,8 @@ def _check_step(
 def solve_weighted_hungarian(
     instance: TransportInstance,
 ) -> tuple[TransportPlan, DualCertificate, SolveTrace]:
-    """Solve a balanced transportation problem with rational marginals.
+    """Solve a balanced transportation problem with rational marginals;
+    returns (plan, certificate, trace), the trace holding the loop only.
 
     Reduces the cost matrix, then repeats cover / delta step until the cover
     weight reaches the balanced total; the final flow is the plan and the
@@ -534,10 +539,11 @@ def solve_weighted_hungarian(
                 f"internal error: no optimum after {bound} iterations, the bound "
                 "(total + 1)(m + n + 1) in scaled units"
             )
-        cover, flow_value = network.min_cut_cover(), network.max_flow()
+        # the cut's cover weighs the max flow; min_cut_cover checks that
+        cover = network.min_cut_cover()
         duals = (tuple(alpha), tuple(beta))
-        if flow_value == instance.total:
-            iterations.append(HungarianIteration(scaled_cost, *duals, cover, flow_value, None))
+        if cover.weight == instance.total:
+            iterations.append(HungarianIteration(scaled_cost, *duals, cover, None))
             break
         side = network.source_side()
         step = len(iterations) + 1
@@ -545,12 +551,12 @@ def solve_weighted_hungarian(
             delta = _delta_step(scaled_cost, alpha, beta, cover)
         except ValueError as exc:
             raise RuntimeError(f"internal error: iteration {step}: {exc}") from exc
-        iterations.append(HungarianIteration(scaled_cost, *duals, cover, flow_value, delta))
+        iterations.append(HungarianIteration(scaled_cost, *duals, cover, delta))
         network.update_zeros(_reduced(scaled_cost, alpha, beta))
         before, objective = objective, _dual_objective(alpha, beta, supplies, demands)
         _check_step(
             step, objective - before, delta * (instance.total - cover.weight) * unit,
-            flow_value, side, network,
+            cover.weight, side, network,
         )
 
     # verify_optimal checks that the plan is feasible and, by its slack
@@ -566,8 +572,7 @@ def solve_weighted_hungarian(
         raise RuntimeError(f"internal error: {exc}") from exc
     if not report:
         raise RuntimeError(f"internal error: certificate check failed: {report.violation}")
-    trace = SolveTrace(scale, tuple(iterations), plan, certificate)
-    return plan, certificate, trace
+    return plan, certificate, SolveTrace(scale, tuple(iterations))
 
 
 def expand_to_assignment(

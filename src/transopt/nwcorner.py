@@ -22,6 +22,7 @@ from .core import (
     Numberish,
     TransportInstance,
     TransportPlan,
+    _Report,
     _scaled_to_integers,
     _value_type,
     as_fraction,
@@ -49,8 +50,10 @@ class MongeOrderWarning(UserWarning):
 
 
 @_value_type
-class MongeReport:
-    """Verdict of a Monge-condition check.
+class MongeReport(_Report):
+    """Outcome of a Monge-condition check: its witness, None when the
+    condition holds.  The report is truthy, and `holds` is True, iff there
+    is no witness.
 
     When the condition fails, `witness` is the first quadruple (i, j, r, s)
     with i < r and j < s in scan order for which
@@ -58,13 +61,10 @@ class MongeReport:
     as `direct_sum` (left side) and `cross_sum` (right side).
     """
 
-    holds: bool
     witness: tuple[int, int, int, int] | None = None
     direct_sum: Fraction | None = None
     cross_sum: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
+    holds = property(_Report.__bool__)
 
 
 def north_west_corner(instance: TransportInstance) -> TransportPlan:
@@ -119,11 +119,9 @@ def check_monge(
     _, rows = _scaled_to_integers(matrix)
     witness = _first_violation(rows, mode == "exhaustive")
     if witness is None:
-        return MongeReport(True)
+        return MongeReport()
     i, j, r, s = witness
-    return MongeReport(
-        False, witness, matrix[i][j] + matrix[r][s], matrix[r][j] + matrix[i][s]
-    )
+    return MongeReport(witness, matrix[i][j] + matrix[r][s], matrix[r][j] + matrix[i][s])
 
 
 def _first_violation(

@@ -26,6 +26,9 @@ __all__ = ["OracleResult", "enumerate_assignment", "enumerate_optimum"]
 
 @_value_type
 class OracleResult:
+    """Outcome of `enumerate_optimum`: the least cost, the first plan met
+    that achieves it, and how many enumerated plans achieve it."""
+
     optimum: Fraction
     plan: TransportPlan
     optimal_count: int  # how many plans in units of 1/unit achieve the optimum

@@ -60,14 +60,17 @@ def brute_force_monge(cost) -> MongeReport:
                     direct = c[i][j] + c[r][s]
                     cross = c[r][j] + c[i][s]
                     if direct > cross:
-                        return MongeReport(False, (i, j, r, s), direct, cross)
-    return MongeReport(True)
+                        return MongeReport((i, j, r, s), direct, cross)
+    return MongeReport()
 
 
-def cold_start_solve(instance: TransportInstance) -> SolveTrace:
-    """Reference for `solve_weighted_hungarian`: the same cover / delta loop
-    from the public step functions, with a fresh zero network (max flow from
-    zero) at every cover step."""
+def cold_start_solve(
+    instance: TransportInstance,
+) -> tuple[TransportPlan, DualCertificate, SolveTrace]:
+    """Reference for `solve_weighted_hungarian`, returning (plan, certificate,
+    trace) as it does: the same cover / delta loop from the public step
+    functions, with a fresh zero network (max flow from zero) at every cover
+    step."""
     supply, demand = instance.supply, instance.demand
     scale = math.lcm(*(c.denominator for row in instance.cost for c in row))
     cost = tuple(tuple(c * scale for c in row) for row in instance.cost)
@@ -78,7 +81,7 @@ def cold_start_solve(instance: TransportInstance) -> SolveTrace:
         cover, flow_value, zero_flow = min_weight_zero_cover(reduced, supply, demand)
         final = flow_value == instance.total
         adjusted, delta = (reduced, None) if final else delta_adjust(reduced, cover)
-        iteration = HungarianIteration(cost, tuple(alpha), tuple(beta), cover, flow_value, delta)
+        iteration = HungarianIteration(cost, tuple(alpha), tuple(beta), cover, delta)
         if iteration.matrix != reduced:  # a check that `python -O` keeps
             raise AssertionError("the recorded duals do not derive the covered matrix")
         iterations.append(iteration)
@@ -91,7 +94,7 @@ def cold_start_solve(instance: TransportInstance) -> SolveTrace:
     certificate = DualCertificate(
         tuple(a / scale for a in alpha), tuple(b / scale for b in beta)
     )
-    return SolveTrace(scale, tuple(iterations), plan, certificate)
+    return plan, certificate, SolveTrace(scale, tuple(iterations))
 
 
 def composition(rng: random.Random, total: int, parts: int) -> list[int]:

@@ -751,6 +751,16 @@ SQUARE_3 = {
                  "--p-row", "1/3", "1/3", "1/3", "--p-col", "1/3", "1/3", "1/3"),
 }
 
+# the options of `generate` that each kind takes; it refuses the others
+GENERATE_OPTIONS = ("--x", "--y", "--supply", "--demand", "--p-row", "--p-col", "--f")
+TAKEN = {
+    "survey": {"--supply", "--demand"},
+    "sum": {"--x", "--y", "--supply", "--demand"},
+    "factored": {"--x", "--y", "--supply", "--demand"},
+    "convexdiff": {"--x", "--y", "--supply", "--demand", "--f"},
+    "problemp": {"--x", "--y", "--p-row", "--p-col", "--f"},
+}
+
 
 class TestGenerateCommand:
     def test_survey_unit_marginals(self, capsys):
@@ -815,6 +825,23 @@ class TestGenerateCommand:
         assert err == ""
         instance = parse_instance(out)
         assert (instance.m, instance.n) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [(kind, flag) for kind in SQUARE_3 for flag in GENERATE_OPTIONS if flag not in TAKEN[kind]],
+    )
+    def test_every_kind_refuses_each_option_it_does_not_take(self, capsys, kind, flag):
+        # "x" is no number: the option is refused before any number is read
+        value = "relu" if flag == "--f" else "x"
+        code, out, err = run(capsys, "generate", kind, *SQUARE_3[kind], flag, value)
+        assert (code, out, err) == (2, "", f"error: {kind} does not take {flag}\n")
+
+    @pytest.mark.parametrize("kind", ["convexdiff", "problemp"])
+    def test_the_cost_shape_defaults_to_square(self, capsys, kind):
+        argv = [a for a in SQUARE_3[kind] if a not in ("--f", "abs")]
+        square = run(capsys, "generate", kind, *argv, "--f", "square")
+        assert square[0] == 0
+        assert run(capsys, "generate", kind, *argv) == square
 
     def test_sum_kind(self, capsys):
         code, out, _ = run(

@@ -73,8 +73,8 @@ class TestCheckMonge:
         assert check_monge([[5] * 3] * 4, "exhaustive").holds
 
     def test_report_truth_is_the_verdict(self):
-        assert not MongeReport(False)
-        assert MongeReport(True)
+        assert not MongeReport((0, 0, 1, 1), 2, 0)
+        assert MongeReport()
 
     def test_two_by_two_cases(self):
         assert check_monge([[0, 1], [1, 0]], "exhaustive").holds

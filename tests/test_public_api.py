@@ -1,5 +1,7 @@
 """The public names: `transopt.__all__` and `cli.__all__` are contracts."""
 
+import inspect
+
 import transopt
 from transopt import cli
 
@@ -54,3 +56,20 @@ def test_public_names_are_unchanged():
     assert all(hasattr(transopt, name) for name in PACKAGE_NAMES)
     assert list(cli.__all__) == CLI_NAMES
     assert all(hasattr(cli, name) for name in CLI_NAMES)
+
+
+def test_every_public_name_and_method_has_a_docstring():
+    names = [(transopt, name) for name in transopt.__all__]
+    names += [(cli, name) for name in cli.__all__]
+    undocumented = []
+    for module, name in names:
+        value = getattr(module, name)
+        if not value.__doc__:
+            undocumented.append(name)
+        if isinstance(value, type):
+            undocumented += [
+                f"{name}.{attr}"
+                for attr, method in vars(value).items()
+                if inspect.isfunction(method) and not attr.startswith("_") and not method.__doc__
+            ]
+    assert undocumented == []

@@ -1,6 +1,7 @@
 """Behaviour of the immutable value types: construction, defaults,
-equality, hashing, immutability and repr.  The ten in `CASES` are plain
-records; `TransportPlan` is a record with its own repr and hash."""
+equality, hashing, immutability, repr and the values each derives from its
+fields.  The ten in `CASES` are plain records; `TransportPlan` is a record
+with its own repr and hash."""
 
 import copy
 import pickle
@@ -28,7 +29,7 @@ from transopt.oracle import enumerate_optimum
 
 F = Fraction
 COVER = LineCover(frozenset({0}), frozenset({1}), F(3))
-ITERATION = HungarianIteration(((F(0), F(1)),), (F(0),), (F(0), F(0)), COVER, F(2), F(1))
+ITERATION = HungarianIteration(((F(0), F(1)),), (F(0),), (F(0), F(0)), COVER, F(1))
 PLAN = TransportPlan({(0, 0): 1})
 CERT = DualCertificate((F(0),), (F(1),))
 
@@ -43,28 +44,20 @@ CASES = {
         ("cost", ((F(1), F(2)),)),
         ("supply", (F(3),)),
         ("demand", (F(1), F(2))),
-        ("total", F(3)),
     ),
     DualCertificate: (("alpha", (F(1), F(-2))), ("beta", (F(1, 2),))),
-    FeasibilityReport: (("feasible", False), ("violations", (("row", 0, F(1)),))),
-    OptimalityReport: (("optimal", False), ("violation", ("dual", 0, 1, F(2), F(1)))),
+    FeasibilityReport: (("violations", (("row", 0, F(1)),)),),
+    OptimalityReport: (("violation", ("dual", 0, 1, F(2), F(1))),),
     LineCover: (("rows", frozenset({0})), ("cols", frozenset({1})), ("weight", F(3))),
     HungarianIteration: (
         ("cost", ((F(0), F(1)),)),
         ("alpha", (F(0),)),
         ("beta", (F(0), F(0))),
         ("cover", COVER),
-        ("flow_value", F(2)),
         ("delta", F(1)),
     ),
-    SolveTrace: (
-        ("scale", 1),
-        ("iterations", (ITERATION,)),
-        ("plan", PLAN),
-        ("certificate", CERT),
-    ),
+    SolveTrace: (("scale", 1), ("iterations", (ITERATION,))),
     MongeReport: (
-        ("holds", False),
         ("witness", (0, 0, 1, 1)),
         ("direct_sum", F(3)),
         ("cross_sum", F(2)),
@@ -78,6 +71,9 @@ CASES = {
     ),
     OracleResult: (("optimum", F(5)), ("plan", PLAN), ("optimal_count", 2)),
 }
+
+# the records whose truth value says that they hold no violation
+REPORTS = (FeasibilityReport, OptimalityReport, MongeReport)
 
 parametrize = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 
@@ -131,8 +127,11 @@ def test_repr_names_every_field(cls):
 
 @parametrize
 def test_wrong_argument_count(cls):
-    with pytest.raises(TypeError):
-        cls()
+    if cls in REPORTS:  # every field has a default: no violation
+        assert cls() and not cls(*values(cls))
+    else:
+        with pytest.raises(TypeError):
+            cls()
     with pytest.raises(TypeError):
         cls(*values(cls), None)
     with pytest.raises(TypeError):
@@ -142,12 +141,91 @@ def test_wrong_argument_count(cls):
 
 
 def test_defaults():
-    assert FeasibilityReport(True).violations == ()
-    assert OptimalityReport(True).violation is None
-    report = MongeReport(True)
+    assert FeasibilityReport().violations == ()
+    assert OptimalityReport().violation is None
+    report = MongeReport()
     assert report.witness is None
     assert report.direct_sum is None and report.cross_sum is None
-    assert MongeReport(True) == MongeReport(True, None, None, None)
+    assert MongeReport() == MongeReport(None, None, None)
+
+
+# class -> (a construction in a form it no longer takes, the arguments it drops)
+OLD_FORMS = {
+    TransportInstance: (lambda: TransportInstance([[1, 2]], [3], [1, 2], 3), ("total",)),
+    SolveTrace: (lambda: SolveTrace(1, (ITERATION,), PLAN, CERT), ("plan", "certificate")),
+    HungarianIteration: (
+        lambda: HungarianIteration(*values(HungarianIteration)[:4], F(3), F(1)),
+        ("flow_value",),
+    ),
+    FeasibilityReport: (lambda: FeasibilityReport(True), ("feasible",)),
+    OptimalityReport: (
+        lambda: OptimalityReport(False, ("dual", 0, 1, F(2), F(1))),
+        ("optimal",),
+    ),
+    MongeReport: (lambda: MongeReport(False, (0, 0, 1, 1), F(3), F(2)), ("holds",)),
+}
+
+
+def test_derived_values_are_read_from_the_fields():
+    for cls, (old_form, dropped) in OLD_FORMS.items():
+        with pytest.raises(TypeError):
+            old_form()
+        for name in dropped:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                cls(*values(cls), **{name: None})
+    # the old one-argument verdicts are refused, not read as a violation
+    for cls in REPORTS:
+        for verdict in (True, False):
+            with pytest.raises(TypeError, match="takes no verdict"):
+                cls(verdict)
+
+    # the total is the sum of the supplies, however the marginals are given
+    for supply, demand, total in (
+        ([3, 4], [7], F(7)),
+        (["1/2", "3"], ["7/2"], F(7, 2)),
+        ([F(1, 3), F(2, 3)], [F(1)], F(1)),
+    ):
+        instance = TransportInstance([[0]] * len(supply), supply, demand)
+        assert instance.total == sum(map(F, supply)) == total
+        assert type(instance.total) is Fraction
+        with pytest.raises(AttributeError):
+            instance.total = total + 1
+        assert instance.total == total
+    assert "total" not in repr(instance)
+
+    # an iteration's flow value is its cover's weight, however it is built
+    for weight in (F(0), F(3), F(5, 2)):
+        cover = LineCover(frozenset({0}), frozenset(), weight)
+        iteration = HungarianIteration(((F(0), F(1)),), (F(0),), (F(0), F(0)), cover, None)
+        assert iteration.flow_value == iteration.cover.weight == weight
+    assert ITERATION.flow_value == COVER.weight == 3
+
+    # a report is truthy, and says so, exactly when it holds no violation
+    violation = ("row", 0, F(1))
+    for report, verdict in (
+        (FeasibilityReport(), True),
+        (FeasibilityReport(()), True),
+        (FeasibilityReport((violation,)), False),
+        (FeasibilityReport((violation, ("column", 1, F(-1)))), False),
+    ):
+        assert bool(report) is report.feasible is verdict
+        assert report.first_violation == (None if verdict else violation)
+    for report, verdict in (
+        (OptimalityReport(), True),
+        (OptimalityReport(None), True),
+        (OptimalityReport(("slack", 1, 0, F(2), F(3))), False),
+    ):
+        assert bool(report) is report.optimal is verdict
+        assert (report.violation is None) is verdict
+    for report, verdict in (
+        (MongeReport(), True),
+        (MongeReport((0, 0, 1, 1), F(3), F(2)), False),
+    ):
+        assert bool(report) is report.holds is verdict
+        assert (report.witness is None) is verdict
+    for cls, verdict in zip(REPORTS, ("feasible", "optimal", "holds")):
+        with pytest.raises(AttributeError):
+            setattr(cls(), verdict, False)
 
 
 def test_lists_normalise_to_fraction_tuples():

@@ -1,10 +1,10 @@
 """The warm-started Hungarian loop against its cold-start reference.
 
 `solve_weighted_hungarian` keeps one `ZeroFlowNetwork` per solve and carries
-its flow across delta steps.  Its scale, every iteration (cost, duals,
-cover, flow value and delta), and its certificate must equal those of
-`helpers.cold_start_solve`, which builds a fresh network at every cover step;
-only the plan may differ, at equal cost.  `update_zeros` must leave a network
+its flow across delta steps.  Its scale, every iteration (cost, duals, cover,
+whose weight is the flow value, and delta), and its certificate must equal
+those of `helpers.cold_start_solve`, which builds a fresh network at every
+cover step; only the plan may differ, at equal cost.  `update_zeros` must leave a network
 in the state of a fresh one on the new matrix, up to the choice among maximum
 flows.
 """
@@ -69,11 +69,11 @@ def side(iteration, m):
 
 def assert_matches_cold_start(instance):
     plan, certificate, trace = solve_weighted_hungarian(instance)
-    reference = cold_start_solve(instance)
+    reference_plan, reference_certificate, reference = cold_start_solve(instance)
     assert trace.scale == reference.scale
     assert trace.iterations == reference.iterations
-    assert certificate == reference.certificate
-    assert plan_cost(instance, plan) == plan_cost(instance, reference.plan)
+    assert certificate == reference_certificate
+    assert plan_cost(instance, plan) == plan_cost(instance, reference_plan)
     assert verify_optimal(instance, plan, certificate)
     return trace
 
